@@ -2,13 +2,14 @@
 
 Tame splitting-field invariants reduce to residue-field arithmetic: the
 cyclotomic layer degree is the order of p mod d, and the Kummer layer is the
-order of the class of u = p^v * w in the pairing group, computed through
-discrete logarithms.  Nothing p-adic is ever approximated.
+order of the class of u = p^v * w in the pairing group, read off from the
+multiplicative order of a power of the unit residue.  Nothing p-adic is ever
+approximated.
 
 Run:  python demos/05_finite_field_oracle.py
 """
 
-from tamegal import build_field, discrete_log, kummer_local_invariants, multiplicative_order
+from tamegal import build_field, kummer_local_invariants, multiplicative_order
 
 # -- fields with deterministic moduli ----------------------------------------
 
@@ -16,9 +17,6 @@ f25 = build_field(5, 2)
 print(f"{f25!r} with modulus coefficients {f25.modulus} (lowest degree first)")
 g = f25.generator()
 print(f"a multiplicative generator: {g!r}, order {multiplicative_order(g)}")
-
-x = g**13
-print(f"discrete log of g^13 back through baby-step/giant-step: {discrete_log(g, x)}")
 
 # -- splitting fields of X^d - u over the p-adics ----------------------------
 

@@ -39,7 +39,6 @@ from .groups import (
     detect_obstructions,
     dihedral,
     direct_product,
-    element_order,
     frobenius_cyclic_decomposition,
     generalized_quaternion,
     is_isomorphic,
@@ -63,9 +62,7 @@ from .padic_oracle import (
     FiniteField,
     FiniteFieldElement,
     KummerLocalInvariants,
-    NotInSubgroupError,
     build_field,
-    discrete_log,
     kummer_local_invariants,
     multiplicative_order,
 )

@@ -257,16 +257,10 @@ def sample_points(cover: KummerCover, prime_bound: int, samples: int, seed: int)
     return out
 
 
-def sweep(cover: KummerCover, prime_bound: int, samples: int, seed: int, threads: int = 1):
+def sweep(cover: KummerCover, prime_bound: int, samples: int, seed: int):
     """Run verify_beckmann over a seeded sample; returns (reports, summary)."""
     points = sample_points(cover, prime_bound, samples, seed)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda tp: verify_beckmann(cover, *tp), points))
-    else:
-        reports = [verify_beckmann(cover, t0, p) for t0, p in points]
+    reports = [verify_beckmann(cover, t0, p) for t0, p in points]
     agree = sum(1 for r in reports if r.agree)
     exceptional = sum(1 for r in reports if r.exceptional)
     disagreements = [r for r in reports if not r.agree and not r.exceptional]

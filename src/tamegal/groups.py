@@ -29,8 +29,6 @@ import numpy as np
 from . import numtheory
 
 ORDER_CAP = 2048
-_FULL_ASSOC_LIMIT = 256
-_SPOT_TRIPLES = 2000
 
 NON_CYCLIC_ABELIAN = "NonCyclicAbelian"
 COMPOSITE_ORDER_ELEMENT = "CompositeOrderElement"
@@ -72,8 +70,11 @@ class FiniteGroup:
     def check_table(self):
         """Latin square, two-sided identity at 0, associativity.
 
-        Associativity is checked on all triples up to order 256 and on a
-        deterministic random sample above that.
+        Associativity is exact by Light's test: (x*a)*y = x*(a*y) for every
+        a in a generating set implies it for every a, at O(n^2 log n) cost.
+        The generator choice reads element orders before associativity is
+        known; they are defined on any Latin square with identity 0, since
+        y -> y*a is a permutation and so the powers of a cycle back to 0.
         """
         t, n = self.table, self.order
         if t.min() < 0 or t.max() >= n:
@@ -83,16 +84,10 @@ class FiniteGroup:
             raise GroupError("table rows/columns are not permutations")
         if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
             raise GroupError("element 0 is not a two-sided identity")
-        if n <= _FULL_ASSOC_LIMIT:
-            left = t[t, :]  # left[a, b, c] = t[t[a, b], c]
-            right = t[:, t]  # right[a, b, c] = t[a, t[b, c]]
-            if not (left == right).all():
+        for a in _greedy_generators(self):
+            # (x*a)*y against x*(a*y); take() gathers columns faster than t[:, idx]
+            if not (t[t[:, a]] == t.take(t[a], axis=1)).all():
                 raise GroupError("associativity fails")
-        else:
-            rng = np.random.default_rng(0)
-            a, b, c = rng.integers(0, n, size=(3, _SPOT_TRIPLES))
-            if not (t[t[a, b], c] == t[a, t[b, c]]).all():
-                raise GroupError("associativity fails (spot check)")
 
     # -- cached structure ---------------------------------------------------
 
@@ -498,11 +493,6 @@ class ClassificationReport:
 # operations
 
 
-def element_order(g: FiniteGroup, x: int) -> int:
-    """Smallest n >= 1 with x^n = identity."""
-    return g.element_order(x)
-
-
 def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
     """Witnesses that rule the group out of the real-base eligibility class.
 
@@ -592,8 +582,6 @@ def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
     elems = _sylow_subgroup(g, p)
     size = int(elems.size)
     sub_orders = g.orders[elems]
-    if int(sub_orders.max()) == size:
-        return SylowShape(SYLOW_CYCLIC, size)  # pragma: no cover - caught above
     if p == 2 and size >= 8:
         involutions = elems[sub_orders == 2]
         if involutions.size == 1:
@@ -656,13 +644,6 @@ def _order_2_or_odd_prime_power(m: int) -> bool:
     return m == 2 or (m % 2 == 1 and numtheory.is_prime_power(m))
 
 
-def is_generalized_quaternion_group(g: FiniteGroup) -> bool:
-    n = g.order
-    if n < 8 or n & (n - 1):
-        return False
-    return sylow_shape(g, 2).kind == SYLOW_GENERALIZED_QUATERNION
-
-
 def classify(g: FiniteGroup) -> ClassificationReport:
     """Full eligibility report; the trivial group gets all flags false."""
     if g.order == 1:
@@ -680,6 +661,7 @@ def classify(g: FiniteGroup) -> ClassificationReport:
     frob = frobenius_cyclic_decomposition(g)
     cyc = g.is_cyclic
     n = g.order
+    shapes = {p: sylow_shape(g, p) for p in numtheory.factorize(n)}
 
     hg_real = (cyc and _order_2_or_odd_prime_power(n)) or (
         frob is not None
@@ -693,14 +675,13 @@ def classify(g: FiniteGroup) -> ClassificationReport:
             and numtheory.is_prime_power(frob.P)
             and numtheory.is_prime_power(frob.Q)
         )
-        or is_generalized_quaternion_group(g)
+        or shapes.get(2) == SylowShape(SYLOW_GENERALIZED_QUATERNION, n)
     )
     pd1 = (cyc and numtheory.is_prime(n)) or (
         frob is not None
         and numtheory.is_prime(frob.P)
         and (frob.Q == 2 or (frob.Q == 3 and frob.P % 3 == 1))
     )
-    shapes = {p: sylow_shape(g, p) for p in numtheory.factorize(n)}
     return ClassificationReport(
         group_label=g.label,
         is_trivial=False,
@@ -727,15 +708,25 @@ def _fingerprint(g: FiniteGroup):
 
 
 def _greedy_generators(g: FiniteGroup) -> list[int]:
+    """Generators chosen greedily: each is the unreached element of highest
+    order (lowest index on ties), and the reached set grows by breadth-first
+    right multiplication.  In a group each new generator at least doubles the
+    reached subgroup, so a table needing more than log2(order) generators is
+    no group.
+    """
+    t, orders = g.table, g.orders
+    reached = np.zeros(g.order, dtype=bool)
+    reached[0] = True
     gens: list[int] = []
-    span = np.array([0], dtype=np.int64)
-    # prefer high-order elements so very few generators are needed
-    for x in sorted(range(g.order), key=lambda i: -int(g.orders[i])):
-        if span.size == g.order:
-            break
-        if x not in set(span.tolist()):
-            gens.append(x)
-            span = g.subgroup_closure(span.tolist() + [x])
+    while not reached.all():
+        if len(gens) == g.order.bit_length() - 1:
+            raise GroupError("associativity fails: too many generators for a group")
+        gens.append(int(np.argmax(np.where(reached, 0, orders))))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            prod = np.unique(t[np.ix_(frontier, gens)])
+            frontier = prod[~reached[prod]]
+            reached[frontier] = True
     return gens
 
 

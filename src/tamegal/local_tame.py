@@ -23,10 +23,7 @@ import numpy as np
 
 from . import numtheory
 from .groups import FiniteGroup, is_isomorphic, parse_group_spec
-
-
-class WildRamificationError(ValueError):
-    """A prescribed ramification index shares a factor with the residue characteristic."""
+from .padic_oracle import WildRamificationError
 
 
 @dataclass(frozen=True)

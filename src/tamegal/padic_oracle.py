@@ -28,12 +28,9 @@ class FieldSizeError(ValueError):
     """Requested field exceeds the 64-bit cardinality cap."""
 
 
-class NotInSubgroupError(ValueError):
-    """Discrete-log target lies outside the subgroup generated by the base."""
-
-
 class WildRamificationError(ValueError):
-    """Residue characteristic divides the Kummer degree."""
+    """The residue characteristic divides a Kummer degree or a prescribed
+    ramification index: the wild case, which is out of scope."""
 
 
 # ---------------------------------------------------------------------------
@@ -299,32 +296,6 @@ def multiplicative_order(x: FiniteFieldElement) -> int:
     return n
 
 
-def discrete_log(base: FiniteFieldElement, x: FiniteFieldElement) -> int:
-    """Least n >= 0 with base^n = x, by baby-step/giant-step.
-
-    Raises NotInSubgroupError when x is not a power of base.  Memory grows
-    like sqrt(order of base); intended for subgroup orders below 2^40.
-    """
-    if base.field != x.field:
-        raise ValueError("base and target live in different fields")
-    if base.is_zero() or x.is_zero():
-        raise ZeroDivisionError("discrete logs are defined on nonzero elements")
-    n = multiplicative_order(base)
-    m = math.isqrt(n - 1) + 1 if n > 1 else 1
-    baby: dict[FiniteFieldElement, int] = {}
-    cur = base.field.one()
-    for j in range(m):
-        baby.setdefault(cur, j)
-        cur = cur * base
-    giant = (base ** m).inverse()
-    gamma = x
-    for i in range((n + m - 1) // m + 1):
-        if gamma in baby:
-            return i * m + baby[gamma]
-        gamma = gamma * giant
-    raise NotInSubgroupError(f"{x!r} is not a power of {base!r}")
-
-
 # ---------------------------------------------------------------------------
 # tame Kummer invariants
 
@@ -408,6 +379,6 @@ def kummer_local_invariants(p: int, d: int, v: int, w) -> KummerLocalInvariants:
     n = math.lcm(n_w, e)
     f = f0 * (n // e)
     inv = KummerLocalInvariants(e=e, f=f, f0=f0, total_degree=e * f)
-    # tameness: e divides q0^f - 1
-    assert pow(q0, f, e) % e == 1 % e
+    if pow(q0, f, e) != 1 % e:
+        raise ArithmeticError(f"tameness violated: e={e} does not divide {q0}^{f} - 1")
     return inv

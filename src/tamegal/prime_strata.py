@@ -144,5 +144,6 @@ def biquadratic_split(a: int, b: int, p: int) -> set[int]:
         numtheory.legendre_symbol(a * b, p),
     ]
     out = {i + 1 for i, s in enumerate(symbols) if s == 1}
-    assert out, "symbol product identity violated"
+    if not out:
+        raise ArithmeticError("Legendre symbol product identity violated: no subfield splits")
     return out

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import os
 import pathlib
+import random
+import re
+import shlex
 import subprocess
 import sys
 
 
-from tamegal import cli
+from tamegal import cli, groups
 
 
 def run_cli(capsys, *argv):
@@ -111,7 +115,7 @@ def test_verify_beckmann_determinism(capsys):
 
 
 def test_verify_beckmann_exit_code_on_disagreement(capsys, monkeypatch):
-    def fake_sweep(cover, primes, samples, seed, threads=1):
+    def fake_sweep(cover, primes, samples, seed):
         return [], {"cover": cover.spec_string(), "samples": 0, "agree": 0,
                     "exceptional": 0, "disagreements": 1}
 
@@ -174,3 +178,50 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["hg_real"] is True
+
+
+# sha256 of stdout for every command in the README's CLI block and for
+# relabeled JSON tables of orders 244 and 1024, recorded before table
+# validation became exact (verify-beckmann: after its inputs lost "threads").
+STDOUT_SHA256 = {
+    "classify SD:7,3,2": "6c09760bebbfd538311f9d6006f18de9f17179a04f1a439ca750c210e4f6aa80",
+    "obstructions X:C2*C2": "98190fd1ea527b26617727b18413309e96a1edb06eb5dc3ca3796000f52386be",
+    "local-cyclic 7 6 6": "342cbec563af70ed51ac2741f267814143c18a7b61c10a5d3157f13f273afb58",
+    "tame-pairs Q8 3": "d4e0ab7bd1215ac6024ce3d1b32e78d24d3e1894ee844f8b1705bbaafa901515",
+    "grunwald S3 --at 7,3,1 --at 11,1,2":
+        "67f08ecf8b3712777bd9cf193ff4631bc374de166319dabd325b965699e6730a",
+    "specialize d=9,m=1,c=1 --t0 7 --p 7":
+        "41a99876bb1557929adde9ad12a094b504408abb2c62f9b1205f5fccee3a09f7",
+    "verify-beckmann d=3,m=1,c=1 --primes 10000 --samples 200 --seed 1":
+        "d105cbac370fdd8a6b8e499afe10594bdea8cba122309a99cebb97f61617ae75",
+    "oracle --p 5 --d 3 --v 1 --w 1": "5264f5c647c0701144713aa2f4369ed3bc74b0d2c6f24253ec49722f4a8579df",
+    "strata 9 3 --bound 100000": "0613972da28825634160158b6f02acb8f827b6f0a16948ab4423c80ea74f1359",
+    "lemma32-set 3 5 --bound 200": "0e417bc06d49c30bdc90e74f03e30595ca2598b58e5e172a223687990b457c6c",
+    "biquad-split 3 5 7": "7b533c1ff1f90338185e6fea099ce0ba891abb75e3c72b13b24ee13ca0669ad4",
+    "sum-two-squares 13/4": "dbfc14fca3801281c63ca9b94d2c8ced137d1884ecfa0e40589170000d814915",
+    "classify t244.json": "ed187a788407234b8b3cd483f0ab764246543106967fa6838c2a5e886971bcc0",
+    "obstructions t244.json": "15ba623b35a4efde715fa358ec5c1861239fa9a1c86a02f348516a1837e50550",
+    "classify t1024.json": "32fde3f81d563b3e3e7f5dc521aeaed97b8565fb4734dae263f62c438af85dbb",
+    "obstructions t1024.json": "fc03038e7d04960e16f101b8d915e58cfd83d24ea48571e7e4e1eabe97198cc0",
+}
+
+
+def test_stdout_is_byte_identical(capsys, tmp_path, monkeypatch):
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines()]
+    monkeypatch.chdir(tmp_path)
+    for spec in ("SD:61,4,11", "X:C8*D64"):
+        g = groups.parse_group_spec(spec)
+        rest = list(range(1, g.order))
+        random.Random(g.order).shuffle(rest)
+        table = groups.relabeled(g, [0] + rest).table.tolist()
+        name = f"t{g.order}.json"
+        pathlib.Path(name).write_text(json.dumps({"order": g.order, "table": table}))
+        commands += [["classify", name], ["obstructions", name]]
+    got = {}
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        got[" ".join(argv)] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == STDOUT_SHA256

@@ -167,13 +167,12 @@ def test_negative_specialization_points():
     assert any(r.t0 < 0 for r in reports)
 
 
-def test_sweep_determinism_and_threads():
+def test_sweep_determinism():
     cover = cv.KummerCover(3, 1, Fraction(1))
     r1, s1 = cv.sweep(cover, 1000, 50, seed=9)
     r2, s2 = cv.sweep(cover, 1000, 50, seed=9)
-    r3, s3 = cv.sweep(cover, 1000, 50, seed=9, threads=4)
-    assert [r.as_dict() for r in r1] == [r.as_dict() for r in r2] == [r.as_dict() for r in r3]
-    assert s1 == s2 == s3
+    assert [r.as_dict() for r in r1] == [r.as_dict() for r in r2]
+    assert s1 == s2
     r4, _ = cv.sweep(cover, 1000, 50, seed=10)
     assert [r.as_dict() for r in r4] != [r.as_dict() for r in r1]
 

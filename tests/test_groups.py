@@ -67,17 +67,17 @@ def test_quaternion_reference_table_is_q8():
         if cur == index["1"]:
             break
     assert n == 4
-    assert G.element_order(ref, index["i"]) == 4
+    assert ref.element_order(index["i"]) == 4
 
 
 def test_element_order_examples():
     c6 = G.cyclic(6)
-    assert G.element_order(c6, 1) == 6
-    assert G.element_order(c6, 0) == 1
+    assert c6.element_order(1) == 6
+    assert c6.element_order(0) == 1
     q8 = G.generalized_quaternion(8)
-    assert sorted(G.element_order(q8, x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert sorted(q8.element_order(x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
     with pytest.raises(G.GroupError):
-        G.element_order(c6, 6)
+        c6.element_order(6)
 
 
 def test_semidirect_s3_example():
@@ -111,6 +111,13 @@ def test_semidirect_precondition_errors():
         G.semidirect_cyclic(6, 2, 3)
 
 
+def _shuffled_table(spec):
+    g = G.parse_group_spec(spec)
+    rest = list(range(1, g.order))
+    random.Random(0).shuffle(rest)
+    return G.relabeled(g, [0] + rest).table.copy()
+
+
 def test_table_validation_rejects_bad_tables():
     with pytest.raises(G.GroupError):
         G.FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
@@ -118,6 +125,26 @@ def test_table_validation_rejects_bad_tables():
         G.FiniteGroup([[1, 0], [0, 1]])  # identity not at 0
     # associative Latin square with identity: fine
     G.FiniteGroup([[0, 1], [1, 0]]).check_table()
+    # a loop of order 5: every element is an involution, so it is no group
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(G.GroupError, match="associativity"):
+        G.FiniteGroup(loop)
+
+    # Swapping the two symbols of a 2x2 Latin subsquare keeps a Latin square
+    # with identity 0 but breaks associativity in only a few triples, which
+    # a random sample of triples can miss.
+    t = _shuffled_table("D256")
+    for r2 in range(2, len(t)):
+        sigma = np.argsort(t[r2])[t[1]]  # column of row r2 holding t[1, c]
+        cols = [c for c in range(1, len(t)) if sigma[c] not in (0, c) and sigma[sigma[c]] == c]
+        if cols:
+            rows, c = [1, r2], cols[0]
+            t[np.ix_(rows, [c, sigma[c]])] = t[np.ix_(rows, [sigma[c], c])]
+            break
+    with pytest.raises(G.GroupError, match="associativity"):
+        G.FiniteGroup(t)
+    # the most generators an order-2048 group needs: the cost bound
+    G.FiniteGroup(_shuffled_table("X:" + "*".join(["C2"] * 11)))
 
 
 def test_detect_obstructions_examples():

@@ -66,25 +66,15 @@ def test_multiplicative_order_examples():
         po.multiplicative_order(f7.element(0))
 
 
-def test_discrete_log_examples():
-    f7 = po.build_field(7)
-    assert po.discrete_log(f7.element(3), f7.element(2)) == 2
-    assert po.discrete_log(f7.element(3), f7.element(1)) == 0
-    with pytest.raises(po.NotInSubgroupError):
-        po.discrete_log(f7.element(2), f7.element(5))  # 5 not in {1,2,4}
-
-
 def test_discrete_log_order_consistency():
     rng = random.Random(5)
     for p, k in ((7, 1), (5, 2), (3, 4), (13, 2), (101, 1)):
         f = po.build_field(p, k)
         g = f.generator()
+        assert po.multiplicative_order(g) == f.card - 1
         for _ in range(8):
             e = rng.randrange(f.card - 1)
             x = g**e
-            n = po.discrete_log(g, x)
-            assert g**n == x
-            assert n == e % (f.card - 1)
             assert x ** po.multiplicative_order(x) == f.one()
 
 
