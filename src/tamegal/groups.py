@@ -1,9 +1,20 @@
 """Finite groups as Cayley tables, with eligibility classification.
 
 Groups are plain index tables: elements are 0..order-1, element 0 is the
-identity, and table[i, j] is the index of the product.  All predicates are
-decided by brute force on the table (order cap 2048), which keeps the whole
-module free of any external group database.
+identity, and table[i, j] is the index of the product.  Every predicate is
+decided exactly on the table (order cap 2048), which keeps the whole module
+free of any external group database.  Four algorithms carry the work:
+
+* element orders by prime descent: for each p^a || n, y = x^(n/p^a) by
+  binary powering, and the p-part of ord(x) is the least p^k with
+  y^(p^k) = 1;
+* subgroup closure by Dimino's algorithm: whole right cosets H*x are added,
+  one gather each, with representatives closed under the generators;
+* Sylow subgroups by the normalizer step: a p-element that normalizes a
+  non-Sylow p-subgroup P and lies outside it extends P;
+* the Frobenius search reads the kernel off the orders: a normal subgroup of
+  order P coprime to its index is {x : ord(x) | P}, and its complements are
+  conjugate (Schur-Zassenhaus), so one complement decides.
 
 The three classification flags reported by :func:`classify`:
 
@@ -57,10 +68,8 @@ class FiniteGroup:
         self.order = n
         self.label = label
         self._inv = None
-        self._orders = None
         self._pow = None
         self._conj = None
-        self._cyclic_subs = None
         if validate:
             self.check_table()
         self.table.setflags(write=False)
@@ -73,8 +82,8 @@ class FiniteGroup:
         Associativity is exact by Light's test: (x*a)*y = x*(a*y) for every
         a in a generating set implies it for every a, at O(n^2 log n) cost.
         The generator choice reads element orders before associativity is
-        known; they are defined on any Latin square with identity 0, since
-        y -> y*a is a permutation and so the powers of a cycle back to 0.
+        known; an element whose binary powers do not reach 0 by exponent n
+        already refutes associativity.
         """
         t, n = self.table, self.order
         if t.min() < 0 or t.max() >= n:
@@ -94,41 +103,27 @@ class FiniteGroup:
     @property
     def inv(self) -> np.ndarray:
         if self._inv is None:
-            rows, cols = np.nonzero(self.table == 0)
-            inv = np.empty(self.order, dtype=np.int64)
-            inv[rows] = cols
-            self._inv = inv
+            self._inv = self.table.argmin(axis=1)  # the column of 0 in each row
         return self._inv
 
     def _power_data(self):
+        """Element orders by prime descent, cached in ``_pow``."""
         if self._pow is None:
             n = self.order
-            t = self.table
-            ar = np.arange(n, dtype=np.int32)
-            orders = np.zeros(n, dtype=np.int64)
-            rows = [np.zeros(n, dtype=np.int32), ar]
-            cur = ar
-            m = 1
-            while True:
-                done = (cur == 0) & (orders == 0)
-                orders[done] = m
-                if (orders != 0).all():
-                    break
-                cur = t[cur, ar]  # fancy indexing allocates a fresh row
-                rows.append(cur)
-                m += 1
-            self._pow = np.vstack(rows)
-            self._orders = orders
-        return self._pow, self._orders
+            orders = np.ones(n, dtype=np.int64)
+            for p, a in numtheory.factorize(n).items():
+                y = self.powers(n // p**a)
+                for _ in range(a):
+                    orders[y != 0] *= p
+                    y = self.powers(p, y)
+                if y.any():
+                    raise GroupError("associativity fails: an element order does not divide n")
+            self._pow = orders
+        return self._pow
 
     @property
     def orders(self) -> np.ndarray:
-        return self._power_data()[1]
-
-    @property
-    def pow_table(self) -> np.ndarray:
-        """Row m holds g^m for every g (m up to the largest element order)."""
-        return self._power_data()[0]
+        return self._power_data()
 
     @property
     def max_order(self) -> int:
@@ -163,9 +158,22 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
+    def powers(self, m: int, elems=None) -> np.ndarray:
+        """x^m for each x in elems (default: every element), m >= 0, by
+        binary powering on the table."""
+        t = self.table
+        base = np.arange(self.order) if elems is None else np.asarray(elems)
+        out = np.zeros_like(base)
+        while m:
+            if m & 1:
+                out = t[out, base]
+            m >>= 1
+            if m:
+                base = t[base, base]
+        return out
+
     def power(self, g: int, m: int) -> int:
-        o = int(self.orders[g])
-        return int(self.pow_table[m % o, g])
+        return int(self.powers(m % int(self.orders[g]), [g])[0])
 
     def element_order(self, g: int) -> int:
         if not 0 <= g < self.order:
@@ -174,49 +182,45 @@ class FiniteGroup:
 
     def cyclic_subgroup(self, g: int) -> np.ndarray:
         o = int(self.orders[g])
-        return np.sort(self.pow_table[:o, g])
+        pw = np.zeros(1, dtype=np.int64)
+        while pw.size < o:
+            # g^0..g^(k-1) times g^k gives g^k..g^(2k-1)
+            pw = np.concatenate([pw, self.table[pw, self.table[pw[-1], g]]])
+        return np.sort(pw[:o])
 
     def subgroup_closure(self, gens) -> np.ndarray:
-        """Smallest subgroup containing gens, as a sorted index array."""
-        cur = np.unique(np.concatenate([[0], np.asarray(list(gens), dtype=np.int64)]))
-        while True:
-            prod = np.unique(self.table[np.ix_(cur, cur)])
-            if prod.size == cur.size:
-                return prod
-            cur = prod
+        """Smallest subgroup containing gens, as a sorted index array.
 
-    def cyclic_subgroups(self):
-        """All distinct cyclic subgroups as (order, generator, sorted elements).
-
-        Single pass: when a new subgroup <g> is found, every other generator
-        of it (the powers of g of full order) is marked visited, so each
-        subgroup is materialized exactly once.
+        Dimino's algorithm: start from the cyclic subgroup of the generator
+        of highest order; each further generator g not yet reached turns the
+        subgroup H so far into a union of right cosets H*r, one gather each,
+        whose representatives r start at g and are closed under right
+        multiplication by the generators used so far.  Every element reached
+        is a product of the generators, also on a table that is no group.
         """
-        if self._cyclic_subs is None:
-            pow_table, orders = self._power_data()
-            handled = np.zeros(self.order, dtype=bool)
-            subs = []
-            for g in range(self.order):
-                if handled[g]:
-                    continue
-                o = int(orders[g])
-                col = pow_table[:o, g]
-                gens = col[orders[col] == o]
-                handled[gens] = True
-                subs.append((o, g, np.sort(col)))
-            self._cyclic_subs = subs
-        return self._cyclic_subs
+        t, orders = self.table, self.orders
+        gens = sorted({int(x) for x in gens}, key=lambda x: -orders[x])
+        mask = np.zeros(self.order, dtype=bool)
+        mask[self.cyclic_subgroup(gens[0]) if gens else 0] = True
+        used = gens[:1]
+        for g in gens[1:]:
+            if mask[g]:
+                continue
+            used.append(g)
+            prev = np.flatnonzero(mask)
+            reps = [g]
+            mask[t[prev, g]] = True
+            for r in reps:  # grows while it is walked
+                for s in used:
+                    x = t[r, s]
+                    if not mask[x]:
+                        mask[t[prev, x]] = True
+                        reps.append(x)
+        return np.flatnonzero(mask)
 
     def center(self) -> np.ndarray:
         comm = self.table == self.table.T
         return np.flatnonzero(comm.all(axis=1))
-
-    def is_normal(self, elems: np.ndarray) -> bool:
-        """Whether the subgroup with the given sorted element set is normal."""
-        mask = np.zeros(self.order, dtype=bool)
-        mask[elems] = True
-        # conjugates of a generating set suffice; use all elements for safety
-        return bool(mask[self.conj[:, elems]].all())
 
     def subgroup(self, elems, label: str | None = None) -> "FiniteGroup":
         """The subgroup on the given (closed) element set, reindexed."""
@@ -501,7 +505,7 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
     has two distinct prime divisors, and an element of order exactly 4.
     """
     out = []
-    pow_table, orders = g._power_data()
+    orders = g.orders
 
     witness = None
     for q in sorted(numtheory.factorize(g.order)) if g.order > 1 else []:
@@ -509,7 +513,10 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
         if elems.size <= q - 1:
             continue  # a single C_q at most
         member = np.zeros((elems.size, g.order), dtype=bool)
-        member[np.arange(elems.size)[:, None], pow_table[:q, elems].T] = True
+        rows, pw = np.arange(elems.size), np.zeros_like(elems)
+        for _ in range(q):  # member[i] marks the powers of elems[i]
+            member[rows, pw] = True
+            pw = g.table[pw, elems]
         prods = g.table[np.ix_(elems, elems)]
         viol = (prods == prods.T) & ~member[:, elems]
         if viol.any():
@@ -533,40 +540,36 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
 
 
 def _sylow_subgroup(g: FiniteGroup, p: int) -> np.ndarray:
-    n = g.order
-    a = numtheory.valuation(n, p)
-    target = p**a
-    orders = g.orders
+    """A Sylow p-subgroup by the normalizer step: start from the cyclic
+    subgroup of a p-element of highest order and, while P is not Sylow, add
+    a p-element outside P that normalizes it.  One exists, since P is a
+    proper subgroup of some Sylow S and N_S(P) > P, and <P, x> = P<x> is
+    again a p-group."""
+    n, t = g.order, g.table
+    target = p ** numtheory.valuation(n, p)
     if target == n:
         return np.arange(n, dtype=np.int64)
-    # p-elements, largest order first so cyclic Sylows resolve in one step
-    pelems = [x for x in range(1, n) if _is_ppower_of(int(orders[x]), p)]
-    pelems.sort(key=lambda x: -orders[x])
-    cur = np.array([0], dtype=np.int64)
+    orders = g.orders
+    pelems = np.flatnonzero(target % orders == 0)
+    pelems = pelems[np.argsort(-orders[pelems], kind="stable")]
+    gens = [int(pelems[0])]
+    cur = g.cyclic_subgroup(gens[0])
     while cur.size < target:
-        cur_set = set(cur.tolist())
-        for x in pelems:
-            if x in cur_set:
-                continue
-            cand = g.subgroup_closure(np.concatenate([cur, [x]]))
-            if target % cand.size == 0:
-                cur = cand
-                break
-        else:  # pragma: no cover - impossible by Sylow theory
-            raise GroupError("Sylow closure search stalled")
+        inside = np.zeros(n, dtype=bool)
+        inside[cur] = True
+        cand = pelems[~inside[pelems]]
+        # x normalizes P iff x^-1 y x lies in P for each generator y of P
+        conj = t[t[g.inv[cand][:, None], gens], cand[:, None]]
+        ok = inside[conj].all(axis=1)
+        if not ok.any():  # pragma: no cover - impossible by Sylow theory
+            raise GroupError("Sylow normalizer step stalled")
+        gens.append(int(cand[np.argmax(ok)]))
+        cur = g.subgroup_closure(gens)
     return cur
 
 
-def _is_ppower_of(m: int, p: int) -> bool:
-    if m < 2:
-        return False
-    while m % p == 0:
-        m //= p
-    return m == 1
-
-
 def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
-    """Build one Sylow p-subgroup by closure search and classify its shape.
+    """Build one Sylow p-subgroup by the normalizer step and classify its shape.
 
     GeneralizedQuaternion requires order >= 8, a unique involution, and a
     cyclic index-2 subgroup inverted by an order-4 element outside it.
@@ -601,42 +604,34 @@ def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
 def frobenius_cyclic_decomposition(g: FiniteGroup) -> FrobeniusDecomposition | None:
     """Search for G = K x| H with K cyclic normal of order P, H cyclic of
     order Q = |G|/P, gcd(P, Q) = 1, and no nontrivial element of H commuting
-    with any nontrivial element of K.  Exhaustive over cyclic subgroups.
+    with any nontrivial element of K.
+
+    A normal subgroup of order P coprime to its index is exactly
+    {x : ord(x) | P}, so K is that set when it has P elements, one of them of
+    order P.  Its complements are all conjugate (Schur-Zassenhaus), so H is
+    the cyclic subgroup of the first element of order Q.
     """
-    n = g.order
-    if n <= 1:
-        return None
-    # a Frobenius group has trivial center (any central element of the kernel
-    # would commute with the complement), so most groups bail out here
-    if g.center().size > 1:
-        return None
-    by_order: dict[int, list] = {}
-    for o, gen, elems in g.cyclic_subgroups():
-        by_order.setdefault(o, []).append((gen, elems))
+    n, orders = g.order, g.orders
     for P in numtheory.divisors(n):
-        if P == 1 or P == n:
-            continue
         Q = n // P
-        if math.gcd(P, Q) != 1:
+        # H acts on K \ {1} without fixed points, so Q | P - 1 (and gcd(P, Q) = 1)
+        if P == 1 or P == n or (P - 1) % Q:
             continue
-        complements = by_order.get(Q, [])
-        if not complements or P not in by_order:
+        k_elems = np.flatnonzero(P % orders == 0)
+        h_gens = np.flatnonzero(orders == Q)
+        if k_elems.size != P or not (orders[k_elems] == P).any() or not h_gens.size:
             continue
-        for _, k_elems in by_order[P]:
-            if not g.is_normal(k_elems):
-                continue
-            k_nontriv = k_elems[k_elems != 0]
-            for _, h_elems in complements:
-                h_nontriv = h_elems[h_elems != 0]
-                kh = g.table[np.ix_(k_nontriv, h_nontriv)]
-                hk = g.table[np.ix_(h_nontriv, k_nontriv)]
-                if not (kh == hk.T).any():
-                    return FrobeniusDecomposition(
-                        P=int(P),
-                        Q=int(Q),
-                        kernel=tuple(int(x) for x in k_elems),
-                        complement=tuple(int(x) for x in h_elems),
-                    )
+        h_elems = g.cyclic_subgroup(int(h_gens[0]))
+        k_nontriv, h_nontriv = k_elems[1:], h_elems[1:]  # both sorted, 0 first
+        kh = g.table[np.ix_(k_nontriv, h_nontriv)]
+        hk = g.table[np.ix_(h_nontriv, k_nontriv)]
+        if not (kh == hk.T).any():
+            return FrobeniusDecomposition(
+                P=int(P),
+                Q=int(Q),
+                kernel=tuple(int(x) for x in k_elems),
+                complement=tuple(int(x) for x in h_elems),
+            )
     return None
 
 
@@ -709,12 +704,13 @@ def _fingerprint(g: FiniteGroup):
 
 def _greedy_generators(g: FiniteGroup) -> list[int]:
     """Generators chosen greedily: each is the unreached element of highest
-    order (lowest index on ties), and the reached set grows by breadth-first
-    right multiplication.  In a group each new generator at least doubles the
-    reached subgroup, so a table needing more than log2(order) generators is
-    no group.
+    order (lowest index on ties), and the reached set is their
+    `subgroup_closure`, whose every element is a product of the generators
+    even on a table that is no group.  In a group each new generator at least
+    doubles the reached subgroup, so a table needing more than log2(order)
+    generators is no group.
     """
-    t, orders = g.table, g.orders
+    orders = g.orders
     reached = np.zeros(g.order, dtype=bool)
     reached[0] = True
     gens: list[int] = []
@@ -722,11 +718,7 @@ def _greedy_generators(g: FiniteGroup) -> list[int]:
         if len(gens) == g.order.bit_length() - 1:
             raise GroupError("associativity fails: too many generators for a group")
         gens.append(int(np.argmax(np.where(reached, 0, orders))))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            prod = np.unique(t[np.ix_(frontier, gens)])
-            frontier = prod[~reached[prod]]
-            reached[frontier] = True
+        reached[g.subgroup_closure(gens)] = True
     return gens
 
 

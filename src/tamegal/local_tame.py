@@ -179,9 +179,8 @@ def enumerate_tame_pairs(g: FiniteGroup, q: int) -> list[TamePair]:
     n = g.order
     orders = g.orders
     tau_ok = np.array([math.gcd(int(o), q) == 1 for o in orders])
-    # tau^q for every tau, reading powers from the cached power table
-    tau_pow_q = g.pow_table[q % orders, np.arange(n)]
-    relation = g.conj == tau_pow_q[None, :]
+    # tau^q for every tau by binary powering on the table
+    relation = g.conj == g.powers(q)[None, :]
     closure_cache: dict[frozenset, int] = {}
     out = []
     for sigma, tau in np.argwhere(relation & tau_ok[None, :]):

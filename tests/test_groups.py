@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from tamegal import groups as G
 from tamegal import numtheory as nt
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +123,14 @@ def _shuffled_table(spec):
     return G.relabeled(g, [0] + rest).table.copy()
 
 
-def test_table_validation_rejects_bad_tables():
-    with pytest.raises(G.GroupError):
-        G.FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
-    with pytest.raises(G.GroupError):
-        G.FiniteGroup([[1, 0], [0, 1]])  # identity not at 0
-    # associative Latin square with identity: fine
-    G.FiniteGroup([[0, 1], [1, 0]]).check_table()
-    # a loop of order 5: every element is an involution, so it is no group
-    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    with pytest.raises(G.GroupError, match="associativity"):
-        G.FiniteGroup(loop)
+# a loop of order 5: every element is an involution, so it is no group
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
-    # Swapping the two symbols of a 2x2 Latin subsquare keeps a Latin square
-    # with identity 0 but breaks associativity in only a few triples, which
-    # a random sample of triples can miss.
+
+def _flipped_d256():
+    """Swapping the two symbols of a 2x2 Latin subsquare keeps a Latin square
+    with identity 0 but breaks associativity in only a few triples, which a
+    random sample of triples can miss."""
     t = _shuffled_table("D256")
     for r2 in range(2, len(t)):
         sigma = np.argsort(t[r2])[t[1]]  # column of row r2 holding t[1, c]
@@ -140,9 +138,21 @@ def test_table_validation_rejects_bad_tables():
         if cols:
             rows, c = [1, r2], cols[0]
             t[np.ix_(rows, [c, sigma[c]])] = t[np.ix_(rows, [sigma[c], c])]
-            break
+            return t
+    raise AssertionError("D256 has a 2x2 Latin subsquare")
+
+
+def test_table_validation_rejects_bad_tables():
+    with pytest.raises(G.GroupError):
+        G.FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
+    with pytest.raises(G.GroupError):
+        G.FiniteGroup([[1, 0], [0, 1]])  # identity not at 0
+    # associative Latin square with identity: fine
+    G.FiniteGroup([[0, 1], [1, 0]]).check_table()
     with pytest.raises(G.GroupError, match="associativity"):
-        G.FiniteGroup(t)
+        G.FiniteGroup(LOOP5)
+    with pytest.raises(G.GroupError, match="associativity"):
+        G.FiniteGroup(_flipped_d256())
     # the most generators an order-2048 group needs: the cost bound
     G.FiniteGroup(_shuffled_table("X:" + "*".join(["C2"] * 11)))
 
@@ -373,3 +383,159 @@ def test_is_isomorphic_negative_and_positive():
     assert G.is_isomorphic(
         G.direct_product(G.cyclic(3), G.cyclic(5)), G.cyclic(15)
     )
+
+
+def test_validation_under_python_O():
+    """Table validation raises named errors, so it holds with asserts off."""
+    tables = {"valid": _shuffled_table("SD:7,3,2").tolist(), "loop": LOOP5,
+              "flipped": _flipped_d256().tolist()}
+    script = """
+import json, sys
+from tamegal import groups as G
+tables = json.load(sys.stdin)
+G.FiniteGroup(tables["valid"])
+for name in ("loop", "flipped"):
+    try:
+        G.FiniteGroup(tables[name])
+    except G.GroupError:
+        continue
+    sys.exit(name + " accepted")
+print("optimize", sys.flags.optimize)
+"""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-O", "-c", script], input=json.dumps(tables),
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["optimize", "1"]
+
+
+# ---------------------------------------------------------------------------
+# the kernel against brute-force references
+
+
+def ref_power_walk(g):
+    """Row m holds x^m for every x, walking x^(m+1) = x^m * x until every
+    order is found; returns (power table, orders)."""
+    n, t = g.order, g.table
+    ar = np.arange(n)
+    orders = np.zeros(n, dtype=np.int64)
+    rows, cur, m = [np.zeros(n, dtype=np.int64), ar], ar, 1
+    while True:
+        orders[(cur == 0) & (orders == 0)] = m
+        if (orders != 0).all():
+            return np.vstack(rows), orders
+        cur = t[cur, ar]
+        rows.append(cur)
+        m += 1
+
+
+def ref_closure(g, gens):
+    """Square-product fixpoint: multiply the set by itself until it stops growing."""
+    cur = np.unique(np.concatenate([[0], np.asarray(list(gens), dtype=np.int64)]))
+    while True:
+        prod = np.unique(g.table[np.ix_(cur, cur)])
+        if prod.size == cur.size:
+            return prod
+        cur = prod
+
+
+def ref_frobenius(g):
+    """Exhaustive search over pairs of cyclic subgroups: a normal one of
+    order P as kernel, one of order Q = n/P as complement, first hit by P,
+    then by lowest generator index."""
+    n = g.order
+    pow_table, orders = ref_power_walk(g)
+    subs, seen = [], np.zeros(n, dtype=bool)
+    for x in range(n):
+        if not seen[x]:
+            col = pow_table[: orders[x], x]
+            seen[col[orders[col] == orders[x]]] = True
+            subs.append((int(orders[x]), np.sort(col)))
+    for P in nt.divisors(n):
+        Q = n // P
+        if P in (1, n) or math.gcd(P, Q) != 1:
+            continue
+        for pk, k in subs:
+            mask = np.zeros(n, dtype=bool)
+            mask[k] = True
+            if pk != P or not mask[g.conj[:, k]].all():
+                continue
+            for qh, h in subs:
+                kh = g.table[np.ix_(k[1:], h[1:])]
+                if qh == Q and not (kh == g.table[np.ix_(h[1:], k[1:])].T).any():
+                    return G.FrobeniusDecomposition(P, Q, tuple(k.tolist()), tuple(h.tolist()))
+    return None
+
+
+def _kernel_groups():
+    rng = random.Random(5)
+    triples = [
+        (P, Q, k)
+        for P in range(2, 80)
+        for Q in range(2, 400 // P + 1)
+        for k in range(1, P)
+        if math.gcd(k, P) == 1 and pow(k, Q, P) == 1
+    ]
+    out = [G.cyclic(n) for n in rng.sample(range(1, 400), 6)]
+    out += [G.dihedral(n) for n in rng.sample(range(1, 200), 6)]
+    out += [G.semidirect_cyclic(*t) for t in rng.sample(triples, 16)]
+    out += [G.direct_product(G.parse_group_spec(a), G.parse_group_spec(b))
+            for a, b in (("C6", "S3"), ("Q8", "C3"), ("D5", "C4"), ("SD:7,3,2", "C2"), ("A4", "C5"))]
+    frobenius = [G.parse_group_spec(s) for s in
+                 ("SD:7,3,2", "SD:13,3,3", "SD:11,5,3", "SD:31,5,2", "SD:19,9,4", "D15", "SD:73,8,10")]
+    perm_rng = np.random.default_rng(5)
+    out += [G.relabeled(g, np.concatenate([[0], 1 + perm_rng.permutation(g.order - 1)]))
+            for g in out[::2] + frobenius]
+    out += frobenius
+    return out
+
+
+KERNEL_GROUPS = _kernel_groups()
+
+
+@pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)
+def test_orders_and_powers_match_power_walk(g):
+    pow_table, orders = ref_power_walk(g)
+    assert (g.orders == orders).all()
+    ar, e = np.arange(g.order), g.exponent
+    for m in (0, 1, 2, e - 1, e, e + 1, 3 * e + 5, 1009):
+        assert (g.powers(m) == pow_table[m % orders, ar]).all(), m
+    elems = ar[::3]
+    assert (g.powers(7, elems) == pow_table[7 % orders[elems], elems]).all()
+    assert all(g.power(x, -2) == pow_table[-2 % orders[x], x] for x in elems.tolist())
+
+
+@pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)
+def test_subgroup_closure_matches_fixpoint(g):
+    rng = random.Random(g.order)
+    for _ in range(6):
+        gens = rng.sample(range(g.order), min(g.order, rng.randint(1, 3)))
+        assert (g.subgroup_closure(gens) == ref_closure(g, gens)).all(), gens
+    assert (g.subgroup_closure([]) == [0]).all()
+
+
+@pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)
+def test_frobenius_matches_exhaustive_search(g):
+    assert G.frobenius_cyclic_decomposition(g) == ref_frobenius(g)
+
+
+@pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)
+def test_sylow_subgroup_is_closed_of_full_p_power(g):
+    for p, a in nt.factorize(g.order).items():
+        elems = G._sylow_subgroup(g, p)
+        assert elems.size == p**a
+        assert np.isin(g.table[np.ix_(elems, elems)], elems).all()
+
+
+@pytest.mark.parametrize("spec", ["C2048", "D1024", "SD:1023,2,1022", "SD:241,8,8", "X:C8*D64"])
+def test_classify_is_relabeling_invariant_at_the_order_cap(spec):
+    g = G.parse_group_spec(spec)
+    perm = np.concatenate([[0], 1 + np.random.default_rng(11).permutation(g.order - 1)])
+    h = G.FiniteGroup(G.relabeled(g, perm).table, label=spec + "~")  # validated
+    base, r = G.classify(g), G.classify(h)
+    for key in ("hg_real", "hg_sqrt_minus1", "pd1_candidate", "frobenius_decomposition", "sylow_shapes"):
+        assert getattr(r, key) == getattr(base, key), key
+    assert [w.kind for w in r.obstructions] == [w.kind for w in base.obstructions]
+    assert all(w.verify(h) for w in r.obstructions)
+    assert all(w.verify(g) for w in base.obstructions)
