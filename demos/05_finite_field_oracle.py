@@ -1,26 +1,18 @@
-"""The finite-field machinery behind the specialization oracle.
+"""The residue-field arithmetic behind the specialization oracle.
 
-Tame splitting-field invariants reduce to residue-field arithmetic: the
-cyclotomic layer degree is the order of p mod d, and the Kummer layer is the
-order of the class of u = p^v * w in the pairing group, read off from the
-multiplicative order of a power of the unit residue.  Nothing p-adic is ever
-approximated.
+Tame splitting-field invariants reduce to arithmetic mod p: the cyclotomic
+layer degree is the order of p mod d, and the Kummer layer is the order of
+the class of u = p^v * w in the pairing group, read off from the
+multiplicative order of a power of the unit residue w mod p.  Nothing p-adic
+is ever approximated and no finite field is built.
 
 Run:  python demos/05_finite_field_oracle.py
 """
 
-from tamegal import build_field, kummer_local_invariants, multiplicative_order
-
-# -- fields with deterministic moduli ----------------------------------------
-
-f25 = build_field(5, 2)
-print(f"{f25!r} with modulus coefficients {f25.modulus} (lowest degree first)")
-g = f25.generator()
-print(f"a multiplicative generator: {g!r}, order {multiplicative_order(g)}")
+from tamegal import kummer_local_invariants
 
 # -- splitting fields of X^d - u over the p-adics ----------------------------
 
-print()
 print("splitting-field invariants of X^d - u over Q_p (u = p^v * w):")
 cases = [
     (7, 3, 1, 1),   # totally ramified cubic: 7 = 1 mod 3
@@ -36,18 +28,9 @@ for p, d, v, w in cases:
         f"cyclotomic layer f0={inv.f0}, total degree {inv.total_degree}"
     )
 
-# -- the twisted-constant route ----------------------------------------------
-
 print()
-f9 = build_field(3, 2)
-zeta8 = f9.generator()  # order 8: a primitive 8th root of unity in F_9
-inv = kummer_local_invariants(3, 8, 1, zeta8)
-print("a constant that only exists upstairs: X^8 - zeta_8 * 3 over the")
-print(f"unramified quadratic extension of Q_3 gives e={inv.e}, f={inv.f} "
-      f"(relative to that base)")
-print()
-print("Cardinalities above 2^63 are never materialized: exponents are")
-print("reduced into the field the unit representative lives in, so even")
+print("The residue field of p^f0 elements is never materialized: the exponent")
+print("that maps w into the pairing group is reduced mod d(p - 1), so even")
 print("p near 10^5 with an 18-dimensional cyclotomic layer is instant:")
 inv = kummer_local_invariants(99991, 27, 1, 1)
 print(f"  p=99991, d=27: e={inv.e}, f={inv.f}, f0={inv.f0}")

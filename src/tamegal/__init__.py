@@ -58,14 +58,7 @@ from .local_tame import (
     grunwald_feasible,
     parse_local_spec,
 )
-from .padic_oracle import (
-    FiniteField,
-    FiniteFieldElement,
-    KummerLocalInvariants,
-    build_field,
-    kummer_local_invariants,
-    multiplicative_order,
-)
+from .padic_oracle import KummerLocalInvariants, kummer_local_invariants
 from .prime_strata import (
     PrimeStratum,
     biquadratic_split,

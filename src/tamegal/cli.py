@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
-from . import __version__, numtheory
+from . import __version__
 from .covers import parse_cover_spec, predict_specialization, sweep
 from .groups import classify, detect_obstructions, parse_group_spec
 from .local_tame import (
@@ -269,8 +268,6 @@ def _run(args) -> int:
         elif not args.quiet:
             for r in reports:
                 print(r.to_json_line())
-        if cover.m == 1 and cover.c == 1 and len(numtheory.factorize(cover.d)) == 1:
-            summary["stratum_law"] = _stratum_law_subreport(cover, reports)
         _emit(
             "verify-beckmann",
             {"cover": args.cover, "primes": args.primes, "samples": args.samples},
@@ -335,25 +332,6 @@ def _run(args) -> int:
         return EXIT_OK
 
     raise UsageError(f"unknown command {args.cmd!r}")  # pragma: no cover
-
-
-def _stratum_law_subreport(cover, reports):
-    """For odd-prime-power X^d - t sweeps, cross-check the oracle degree law
-    f(p, d, v=1, w=1) = d / gcd(d, p-1) on the sampled primes p = 1 mod l."""
-    d = cover.d
-    (ell,) = numtheory.factorize(d)
-    if ell == 2:
-        return None
-    checked = 0
-    violations = 0
-    for p in sorted({r.p for r in reports}):
-        if p % ell != 1 or d % p == 0:
-            continue
-        inv = kummer_local_invariants(p, d, 1, 1)
-        checked += 1
-        if inv.f != d // math.gcd(d, p - 1):
-            violations += 1
-    return {"checked": checked, "violations": violations}
 
 
 def main(argv=None) -> int:

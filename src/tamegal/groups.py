@@ -270,15 +270,14 @@ def semidirect_cyclic(P: int, Q: int, k: int) -> FiniteGroup:
         kbar_pows = np.array([pow(kbar, j, P) for j in range(Q)], dtype=np.int32)
     else:
         kbar_pows = np.ones(Q, dtype=np.int32)
-    # block structure: the (i1, i2) part depends on j1 only, the j part is a
-    # Q x Q pattern; assemble per j1-block to keep the modular work at P*n
+    # block structure: the (i1, i2) part depends on j1 only and the j part is
+    # a Q x Q pattern, so the modular work stays at P*n; the two are summed
+    # in one broadcast over (j1, i1, j2, i2)
     twists = np.outer(kbar_pows, ip) % P  # twists[j1, i2] = kbar^j1 * i2 mod P
-    jrow = np.arange(Q, dtype=np.int32)
-    table = np.empty((n, n), dtype=np.int32)
-    for j1 in range(Q):
-        core = (ip[:, None] + twists[j1][None, :]) % P
-        jadd = np.repeat(P * ((j1 + jrow) % Q), P)
-        table[j1 * P : (j1 + 1) * P, :] = np.tile(core, (1, Q)) + jadd[None, :]
+    core = (ip[None, :, None] + twists[:, None, :]) % P  # core[j1, i1, i2]
+    jq = np.arange(Q, dtype=np.int32)
+    jpart = P * ((jq[:, None] + jq[None, :]) % Q)  # jpart[j1, j2]
+    table = (core[:, :, None, :] + jpart[:, None, :, None]).reshape(n, n)
     return FiniteGroup(table, label=f"SD:{P},{Q},{k}", validate=False)
 
 

@@ -164,22 +164,29 @@ def unit_residue(x: Fraction, p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
+def _order_from_multiple(a: int, n: int, m: int) -> int:
+    """Order of a modulo n, given a multiple m of it: m is divided by each
+    prime q while a^(m/q) = 1 (mod n)."""
+    if pow(a, m, n) != 1 % n:
+        raise ArithmeticError(f"{a}^{m} != 1 mod {n}: {m} is not a multiple of the order")
+    for q, k in factorize(m).items():
+        for _ in range(k):
+            if pow(a, m // q, n) != 1 % n:
+                break
+            m //= q
+    return m
+
+
 def multiplicative_order_mod(a: int, n: int) -> int:
-    """Order of a in (Z/n)^*.  Meant for desk-scale moduli."""
+    """Order of a in (Z/n)^*, divided down from phi(n)."""
     n = int(n)
     if n == 1:
         return 1
     a = int(a) % n
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    k = 1
-    x = a
-    while x != 1:
-        x = x * a % n
-        k += 1
-        if k > n:
-            raise ArithmeticError("order search exceeded the modulus")
-    return k
+    phi = math.prod(q ** (k - 1) * (q - 1) for q, k in factorize(n).items())
+    return _order_from_multiple(a, n, phi)
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -3,7 +3,7 @@
 For an odd prime p not dividing d, the d-th roots of unity present p-adically
 form exactly the gcd(d, p-1)-th roots; that gcd indexes the stratum of p.
 Strata partition the odd primes prime to d, and their Dirichlet densities are
-exact rationals obtained by counting residues mod d.
+exact rationals obtained by counting residues mod each prime power dividing d.
 
 Also here: the two-congruence prime sets used by the obstruction arguments
 (split in one cyclotomic field, non-split in another) and the quadratic-
@@ -59,15 +59,25 @@ def stratum_of(p: int, d: int) -> int:
 
 def predicted_stratum_density(d: int, e: int) -> Fraction:
     """Dirichlet density of the stratum: residues a mod d with gcd(d, a-1) = e,
-    among the phi(d) invertible residues."""
-    if d % e:
+    among the phi(d) invertible residues.
+
+    By CRT the count is a product over the p^k exactly dividing d, with
+    j = v_p(e): units a mod p^k with min(v_p(a-1), k) = j number
+    p^(k-1)(p-2) for j = 0, p^(k-j) - p^(k-j-1) for 0 < j < k and 1 for j = k.
+    """
+    if e < 1 or d % e:
         raise ValueError(f"e={e} must divide d={d}")
-    if d == 1:
-        return Fraction(1)
-    # math.gcd(d, 0) = d, matching the a = 1 residue landing in the top stratum
-    units = [a for a in range(d) if math.gcd(a, d) == 1]
-    hits = sum(1 for a in units if math.gcd(d, a - 1) == e)
-    return Fraction(hits, len(units))
+    density = Fraction(1)
+    for p, k in numtheory.factorize(d).items():
+        j = numtheory.valuation(e, p)
+        if j == 0:
+            hits = p ** (k - 1) * (p - 2)
+        elif j < k:
+            hits = p ** (k - j) - p ** (k - j - 1)
+        else:
+            hits = 1
+        density *= Fraction(hits, p ** (k - 1) * (p - 1))
+    return density
 
 
 def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:

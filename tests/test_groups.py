@@ -539,3 +539,30 @@ def test_classify_is_relabeling_invariant_at_the_order_cap(spec):
     assert [w.kind for w in r.obstructions] == [w.kind for w in base.obstructions]
     assert all(w.verify(h) for w in r.obstructions)
     assert all(w.verify(g) for w in base.obstructions)
+
+
+def ref_semidirect_table(P, Q, k):
+    """The SD:P,Q,k table assembled one j1 row block at a time (a^i1 b^j1
+    times a^i2 b^j2 = a^(i1 + kbar^j1 i2) b^(j1 + j2), kbar = k^-1 mod P)."""
+    n = P * Q
+    ip = np.arange(P, dtype=np.int32)
+    kbar = pow(k, -1, P) if P > 1 else 1
+    twists = np.outer(np.array([pow(kbar, j, P) for j in range(Q)], dtype=np.int32), ip) % P
+    jrow = np.arange(Q, dtype=np.int32)
+    table = np.empty((n, n), dtype=np.int32)
+    for j1 in range(Q):
+        core = (ip[:, None] + twists[j1][None, :]) % P
+        jadd = np.repeat(P * ((j1 + jrow) % Q), P)
+        table[j1 * P : (j1 + 1) * P, :] = np.tile(core, (1, Q)) + jadd[None, :]
+    return table
+
+
+@pytest.mark.parametrize(
+    "P,Q,k",
+    [(1, 1, 0), (1, 6, 0), (5, 1, 1), (2, 2, 1), (7, 3, 2), (13, 4, 5), (61, 4, 11),
+     (31, 5, 2), (19, 9, 4), (73, 8, 10), (17, 16, 3), (241, 8, 8), (1023, 2, 1022)],
+)
+def test_semidirect_table_matches_block_loop(P, Q, k):
+    table = G.semidirect_cyclic(P, Q, k).table
+    assert table.dtype == np.int32
+    assert np.array_equal(table, ref_semidirect_table(P, Q, k))

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamegal import numtheory as nt
 
@@ -56,6 +58,26 @@ def test_multiplicative_order_mod():
     assert nt.multiplicative_order_mod(7, 9) == 3
     with pytest.raises(ValueError):
         nt.multiplicative_order_mod(3, 9)
+    assert nt.multiplicative_order_mod(5, 1) == 1
+    with pytest.raises(ArithmeticError):
+        nt._order_from_multiple(2, 7, 4)  # 2^4 = 2 mod 7: 4 is not a multiple of 3
+
+
+def _order_by_walk(a, n):
+    """Reference: the least k >= 1 with a^k = 1 mod n, by repeated multiplication."""
+    k, x = 1, a % n
+    while x != 1 % n:
+        x = x * a % n
+        k += 1
+    return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=5000), a=st.integers(min_value=-10**6, max_value=10**6))
+def test_multiplicative_order_mod_matches_walk(n, a):
+    if math.gcd(a, n) != 1:
+        return
+    assert nt.multiplicative_order_mod(a, n) == _order_by_walk(a, n)
 
 
 def test_legendre_symbol_matches_square_search():

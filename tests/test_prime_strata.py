@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamegal import numtheory as nt
 from tamegal import prime_strata as ps
@@ -60,6 +62,29 @@ def test_predicted_densities():
 
 def _phi(d):
     return sum(1 for a in range(d) if math.gcd(a, d) == 1)
+
+
+def _density_by_residues(d, e):
+    """Reference: count the units a mod d with gcd(d, a - 1) = e."""
+    if d == 1:
+        return Fraction(1)
+    # math.gcd(d, 0) = d, matching the a = 1 residue landing in the top stratum
+    units = [a for a in range(d) if math.gcd(a, d) == 1]
+    hits = sum(1 for a in units if math.gcd(d, a - 1) == e)
+    return Fraction(hits, len(units))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(min_value=1, max_value=2000), data=st.data())
+def test_predicted_density_matches_residue_count(d, data):
+    e = data.draw(st.sampled_from(nt.divisors(d)))
+    assert ps.predicted_stratum_density(d, e) == _density_by_residues(d, e)
+
+
+def test_predicted_density_rejects_non_divisors():
+    for d, e in ((9, 2), (9, 0), (9, -3)):
+        with pytest.raises(ValueError):
+            ps.predicted_stratum_density(d, e)
 
 
 def test_strata_partition():
