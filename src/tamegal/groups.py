@@ -89,8 +89,13 @@ class FiniteGroup:
         if t.min() < 0 or t.max() >= n:
             raise GroupError("table entries out of range")
         ar = np.arange(n)
-        if not (np.sort(t, axis=1) == ar).all() or not (np.sort(t, axis=0) == ar[:, None]).all():
-            raise GroupError("table rows/columns are not permutations")
+        seen = np.zeros((n, n), dtype=bool)
+        for lines in (t, t.T):
+            # seen[i, x]: x occurs in line i (a row of t, then a column of t)
+            seen[:] = False
+            seen[ar[:, None], lines] = True
+            if not seen.all():
+                raise GroupError("table rows/columns are not permutations")
         if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
             raise GroupError("element 0 is not a two-sided identity")
         for a in _greedy_generators(self):
@@ -242,8 +247,10 @@ class FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1 or n > ORDER_CAP:
         raise GroupError(f"cyclic order {n} outside 1..{ORDER_CAP}")
-    ar = np.arange(n, dtype=np.int64)
-    return FiniteGroup(np.add.outer(ar, ar) % n, label=f"C{n}", validate=False)
+    ar = np.arange(n, dtype=np.int32)
+    table = ar[:, None] + ar
+    table[table >= n] -= n
+    return FiniteGroup(table, label=f"C{n}", validate=False)
 
 
 def semidirect_cyclic(P: int, Q: int, k: int) -> FiniteGroup:

@@ -1,21 +1,41 @@
 """Integer and rational arithmetic helpers shared across the toolkit.
 
-Primality uses trial division below a fixed bound and deterministic
-Miller-Rabin witnesses above it; factoring uses Brent's cycle variant of
-Pollard rho.  Everything here is exact integer arithmetic.
+Primality is strong Miller-Rabin on the prime bases 2..41, after a gcd with
+their product rules out their multiples.  Below psi_k, the least strong
+pseudoprime to the first k prime bases, those k bases decide (Jaeschke 1993;
+Sorenson and Webster 2017), so every n below psi_13 ~ 3.3 * 10^24 is decided
+exactly; a larger n is refused unless one of the bases divides it.  Factoring
+uses Brent's cycle variant of Pollard rho.  Everything here is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-_TRIAL_BOUND = 1_000_000
-# Deterministic witness set for all 64-bit integers (and well beyond).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
+# psi_k for k = 1..13 (OEIS A014233): below psi_k the first k bases decide.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -30,42 +50,33 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _miller_rabin(n: int) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        a %= n
-        if a == 0:
-            continue
+def is_prime(n: int) -> bool:
+    """Exact primality of n.
+
+    Decided for every n below psi_13 and every n with a prime factor
+    below 43; any other n raises ``ValueError``.
+    """
+    n = int(n)
+    if n < 2:
+        return False
+    if math.gcd(n, _MR_BASES_PRODUCT) != 1:
+        return n in _MR_BASES
+    k = bisect.bisect_right(_PSI, n) + 1  # the least k with n < psi_k
+    if k > len(_PSI):
+        raise ValueError(f"primality of {n} is decided only below psi_13 = {_PSI[-1]}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
-        for _ in range(r - 1):
+        for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
     return True
-
-
-def is_prime(n: int) -> bool:
-    n = int(n)
-    if n < 2:
-        return False
-    if n < _TRIAL_BOUND:
-        if n < 4:
-            return True
-        if n % 2 == 0:
-            return False
-        for f in range(3, math.isqrt(n) + 1, 2):
-            if n % f == 0:
-                return False
-        return True
-    return _miller_rabin(n)
 
 
 def _pollard_brent(n: int) -> int:

@@ -159,6 +159,14 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "sum-two-squares", "0")[0] == 1
 
 
+def test_oracle_refuses_strong_pseudoprime(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the bases 2..37
+    code, out, err = run_cli(capsys, "oracle", "--p", "318665857834031151167461",
+                             "--d", "3", "--v", "1", "--w", "1")
+    assert code == 1 and out == ""
+    assert "is not prime" in err
+
+
 def test_global_flags_both_positions(capsys):
     _, out1, _ = run_cli(capsys, "--seed", "3", "verify-beckmann", "d=3,m=1,c=1",
                          "--primes", "1000", "--samples", "5", "--quiet")

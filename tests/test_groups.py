@@ -157,6 +157,17 @@ def test_table_validation_rejects_bad_tables():
     G.FiniteGroup(_shuffled_table("X:" + "*".join(["C2"] * 11)))
 
 
+def test_table_validation_checks_columns():
+    # every row is a permutation and 0 is a two-sided identity, but columns
+    # 2 and 3 repeat a symbol
+    t = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 1, 0]]
+    assert all(sorted(row) == [0, 1, 2, 3] for row in t)
+    with pytest.raises(G.GroupError, match="permutations"):
+        G.FiniteGroup(t)
+    with pytest.raises(G.GroupError, match="permutations"):
+        G.FiniteGroup(np.array(t).T)
+
+
 def test_detect_obstructions_examples():
     v4 = G.direct_product(G.cyclic(2), G.cyclic(2))
     kinds = [w.kind for w in G.detect_obstructions(v4)]
@@ -566,3 +577,12 @@ def test_semidirect_table_matches_block_loop(P, Q, k):
     table = G.semidirect_cyclic(P, Q, k).table
     assert table.dtype == np.int32
     assert np.array_equal(table, ref_semidirect_table(P, Q, k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2048])
+def test_cyclic_table_matches_outer_sum(n):
+    ar = np.arange(n, dtype=np.int64)
+    ref = (np.add.outer(ar, ar) % n).astype(np.int32)
+    table = G.cyclic(n).table
+    assert table.dtype == np.int32 and table.flags.c_contiguous
+    assert table.tobytes() == ref.tobytes()

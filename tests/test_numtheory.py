@@ -24,6 +24,49 @@ def test_is_prime(n, expect):
     assert nt.is_prime(n) is expect
 
 
+def test_is_prime_matches_sieve():
+    primes = set(nt.primes_upto(10**5).tolist())
+    assert [n for n in range(-5, 10**5) if nt.is_prime(n) != (n in primes)] == []
+
+
+# psi_k: the least strong pseudoprime to the first k prime bases (OEIS A014233)
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461]
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("psi", PSI)
+def test_is_prime_rejects_strong_pseudoprimes(psi):
+    f = nt._pollard_brent(psi)  # composite: Pollard rho finds a proper factor
+    assert 1 < f < psi and psi % f == 0
+    assert nt.is_prime(psi) is False
+
+
+def test_is_prime_refuses_beyond_psi_13():
+    with pytest.raises(ValueError, match=str(PSI_13)):
+        nt.is_prime(PSI_13)
+    with pytest.raises(ValueError, match="psi_13"):
+        nt.is_prime(2**89 - 1)
+    # a factor below 43 still decides: no refusal
+    assert nt.is_prime(PSI_13 * 41) is False
+    assert nt.is_prime(PSI_13 - 1) is False
+
+
+def _is_prime_by_trial_division(n):
+    """Reference: no divisor in 2..isqrt(n)."""
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(
+    st.integers(min_value=-10, max_value=10**10),
+    st.builds(lambda a, b: a * b, st.integers(2, 10**5), st.integers(2, 10**5)),
+))
+def test_is_prime_matches_trial_division(n):
+    assert nt.is_prime(n) == _is_prime_by_trial_division(n)
+
+
 def test_factorize_roundtrip():
     for n in (1, 2, 12, 360, 2**20, 999999, 10**12 + 39, 600851475143):
         fac = nt.factorize(n)
