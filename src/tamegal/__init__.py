@@ -50,7 +50,6 @@ from .groups import (
 from .local_tame import (
     GrunwaldFeasibility,
     LocalExtensionSpec,
-    TameLocalField,
     TamePair,
     c4_embeddable_quadratic,
     cyclic_tame_exists,

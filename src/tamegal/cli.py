@@ -5,21 +5,22 @@ so that identical inputs and seed produce byte-identical output; sweeps stream
 one JSON line per specialization report before the summary.  The seeded
 generator is CPython's random.Random (MT19937), which is stable across
 platforms.  Exit codes: 0 success / all checks agree, 1 usage error,
-2 verification failure.
+2 verification failure, 3 internal defect (traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import __version__
 from .covers import parse_cover_spec, predict_specialization, sweep
 from .groups import classify, detect_obstructions, parse_group_spec
 from .local_tame import (
-    LocalExtensionSpec,
     c4_embeddable_quadratic,
     cyclic_tame_exists,
     enumerate_tame_pairs,
@@ -34,6 +35,7 @@ from .prime_strata import biquadratic_split, enumerate_stratum, lemma32_prime_se
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -45,8 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(command: str, inputs: dict, result, seed: int | None, csv_rows=None, csv=False):
-    if csv and csv_rows is not None:
+def _emit(command: str, inputs: dict, result, seed: int | None, csv_rows=None):
+    """Print the JSON report, or the CSV rows when given (only under --csv)."""
+    if csv_rows is not None:
         for row in csv_rows:
             print(",".join(str(x) for x in row))
         return
@@ -58,17 +61,6 @@ def _emit(command: str, inputs: dict, result, seed: int | None, csv_rows=None, c
         "seed": seed,
     }
     print(json.dumps(report, sort_keys=True))
-
-
-def _parse_at(text: str) -> LocalExtensionSpec:
-    if "=" in text:
-        return parse_local_spec(text)
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"--at expects p,e,f or p=..,e=..,f=..; got {text!r}")
-    spec = LocalExtensionSpec(p=int(parts[0]), e=int(parts[1]), f=int(parts[2]))
-    spec.validate()
-    return spec
 
 
 def _global_flags() -> argparse.ArgumentParser:
@@ -91,7 +83,9 @@ def _global_flags() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="tamegal", description=__doc__, parents=[_global_flags()])
     parser.set_defaults(json=False, csv=False, seed=0)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -180,8 +174,7 @@ def _run(args) -> int:
             {"group": args.group},
             [w.as_dict() for w in ws],
             args.seed,
-            csv_rows=[(w.kind, *w.witness) for w in ws],
-            csv=args.csv,
+            csv_rows=[(w.kind, *w.witness) for w in ws] if args.csv else None,
         )
         return EXIT_OK
 
@@ -197,20 +190,20 @@ def _run(args) -> int:
 
     if args.cmd == "tame-pairs":
         g = parse_group_spec(args.group)
-        pairs = enumerate_tame_pairs(g, args.q)
+        pairs = [p.as_dict() for p in enumerate_tame_pairs(g, args.q)]
+        columns = ("sigma", "tau", "inertia_order", "residue_degree")
         _emit(
             "tame-pairs",
             {"group": args.group, "q": args.q},
-            {"count": len(pairs), "pairs": [p.as_dict() for p in pairs]},
+            {"count": len(pairs), "pairs": pairs},
             args.seed,
-            csv_rows=[(p.sigma, p.tau, p.inertia_order, p.residue_degree) for p in pairs],
-            csv=args.csv,
+            csv_rows=[[p[c] for c in columns] for p in pairs] if args.csv else None,
         )
         return EXIT_OK
 
     if args.cmd == "grunwald":
         g = parse_group_spec(args.group)
-        problems = [_parse_at(t) for t in args.at]
+        problems = [parse_local_spec(t) for t in args.at]
         if args.batch:
             problems += load_local_spec_batch(args.batch)
         if not problems:
@@ -221,10 +214,11 @@ def _run(args) -> int:
             {"group": args.group, "at": args.at, "batch": args.batch},
             rep.as_dict(),
             args.seed,
-            csv_rows=[
-                (s.p, s.e, s.f, ok) for s, ok in zip(rep.problems, rep.feasible)
-            ],
-            csv=args.csv,
+            csv_rows=(
+                [(s.p, s.e, s.f, ok) for s, ok in zip(rep.problems, rep.feasible)]
+                if args.csv
+                else None
+            ),
         )
         return EXIT_OK
 
@@ -293,8 +287,7 @@ def _run(args) -> int:
             {"d": args.d, "e": args.e, "bound": args.bound},
             stratum.as_dict(),
             args.seed,
-            csv_rows=[(p,) for p in stratum.primes],
-            csv=args.csv,
+            csv_rows=[(p,) for p in stratum.primes] if args.csv else None,
         )
         return EXIT_OK
 
@@ -305,8 +298,7 @@ def _run(args) -> int:
             {"q": args.q, "r": args.r, "bound": args.bound},
             {"count": len(primes), "primes": primes},
             args.seed,
-            csv_rows=[(p,) for p in primes],
-            csv=args.csv,
+            csv_rows=[(p,) for p in primes] if args.csv else None,
         )
         return EXIT_OK
 
@@ -335,13 +327,14 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

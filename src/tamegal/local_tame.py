@@ -8,6 +8,11 @@ generating pair of that shape; this module enumerates those pairs, decides
 cyclic realizability, and combines both into per-prime feasibility of
 prescribed local behavior.
 
+The pair search builds no subgroup closure.  The relation makes sigma
+normalize <tau>, so <sigma, tau> = <tau><sigma> has order ord(tau) * k, where
+k, the residue degree, is the least k >= 1 with sigma^k in <tau> (product
+formula |HK| = |H||K| / |H & K|).
+
 Only the rationals are supported on the global side, so residue cardinalities
 are primes; the code nevertheless carries q as an abstract parameter.
 """
@@ -24,21 +29,6 @@ import numpy as np
 from . import numtheory
 from .groups import FiniteGroup, is_isomorphic, parse_group_spec
 from .padic_oracle import WildRamificationError
-
-
-@dataclass(frozen=True)
-class TameLocalField:
-    """A p-adic completion of the rationals, carried by its residue cardinality.
-
-    Only primes occur over the rationals; the field is kept abstract so prime
-    powers can be added later without changing call sites.
-    """
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 2 or not numtheory.is_prime(self.q):
-            raise ValueError(f"residue cardinality {self.q} is not prime")
 
 
 @dataclass(frozen=True)
@@ -64,8 +54,16 @@ class TamePair:
 
     @property
     def residue_degree(self) -> int:
-        d = self.group.subgroup_closure([self.sigma, self.tau])
-        return int(d.size) // self.inertia_order
+        """The least k >= 1 with sigma^k in <tau>, so that <sigma, tau> has
+        order inertia_order * residue_degree.  The k with sigma^k in <tau>
+        are the multiples of it, so it divides down from ord(sigma)."""
+        g = self.group
+        inertia = set(g.cyclic_subgroup(self.tau).tolist())
+        k = g.element_order(self.sigma)
+        for ell in numtheory.factorize(k):
+            while k % ell == 0 and g.power(self.sigma, k // ell) in inertia:
+                k //= ell
+        return k
 
     def as_dict(self):
         return {
@@ -106,9 +104,29 @@ class LocalExtensionSpec:
         }
 
 
+def _local_spec(fields, source) -> LocalExtensionSpec:
+    try:
+        spec = LocalExtensionSpec(
+            p=int(fields["p"]),
+            e=int(fields["e"]),
+            f=int(fields["f"]),
+            group_spec=parse_group_spec(fields["D"]) if fields.get("D") is not None else None,
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad local spec {source!r}: {exc!r}") from exc
+    spec.validate()
+    return spec
+
+
 def parse_local_spec(text: str) -> LocalExtensionSpec:
-    """Parse "p=<prime>,e=<int>,f=<int>[,D=<group-spec>]" (D, if present, last)."""
+    """Parse "p,e,f" or "p=<prime>,e=<int>,f=<int>[,D=<group-spec>]" (D, if
+    present, last)."""
     text = text.strip()
+    if "=" not in text:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"local spec {text!r} is neither p,e,f nor p=..,e=..,f=..")
+        return _local_spec(dict(zip("pef", parts)), text)
     fields: dict[str, str] = {}
     rest = text
     while rest:
@@ -120,37 +138,16 @@ def parse_local_spec(text: str) -> LocalExtensionSpec:
         if not eq:
             raise ValueError(f"bad local spec fragment {part!r}")
         fields[key.strip()] = val.strip()
-    try:
-        spec = LocalExtensionSpec(
-            p=int(fields["p"]),
-            e=int(fields["e"]),
-            f=int(fields["f"]),
-            group_spec=parse_group_spec(fields["D"]) if "D" in fields else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"local spec {text!r} is missing {exc}") from exc
-    spec.validate()
-    return spec
+    return _local_spec(fields, text)
 
 
 def load_local_spec_batch(path: str) -> list[LocalExtensionSpec]:
     """A JSON array of spec strings or {"p":..,"e":..,"f":..[,"D":..]} objects."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    out = []
-    for item in data:
-        if isinstance(item, str):
-            out.append(parse_local_spec(item))
-        else:
-            spec = LocalExtensionSpec(
-                p=int(item["p"]),
-                e=int(item["e"]),
-                f=int(item["f"]),
-                group_spec=parse_group_spec(item["D"]) if item.get("D") else None,
-            )
-            spec.validate()
-            out.append(spec)
-    return out
+    if not isinstance(data, list):
+        raise ValueError(f"batch file {path!r} does not hold a JSON array")
+    return [parse_local_spec(x) if isinstance(x, str) else _local_spec(x, x) for x in data]
 
 
 # ---------------------------------------------------------------------------
@@ -169,29 +166,45 @@ def cyclic_tame_exists(q: int, d: int, e: int) -> bool:
     return (q - 1) % e == 0
 
 
+def _tame_pairs(g: FiniteGroup, q: int, taus, size: int):
+    """Yield (tau, sigmas) for each tau in taus that has any: the sigmas with
+    sigma^-1 tau sigma = tau^q and |<sigma, tau>| = size, for taus of order
+    coprime to q and dividing size.  With k = size / ord(tau), sigma^k must
+    lie in <tau> and sigma^(k/l) must not, for each prime l | k.
+    """
+    conj, tau_q, orders = g.conj, g.powers(q), g.orders
+    inertia = np.zeros(g.order, dtype=bool)
+    for tau in taus:
+        k = size // int(orders[tau])
+        # k divides ord(sigma), as sigma^ord(sigma) = 1 lies in <tau>
+        sigmas = np.flatnonzero((conj[:, tau] == tau_q[tau]) & (orders % k == 0))
+        if not sigmas.size:
+            continue
+        cyc = g.cyclic_subgroup(tau)
+        inertia[cyc] = True
+        sigmas = sigmas[inertia[g.powers(k, sigmas)]]
+        for ell in numtheory.factorize(k):
+            sigmas = sigmas[~inertia[g.powers(k // ell, sigmas)]]
+        inertia[cyc] = False
+        if sigmas.size:
+            yield tau, sigmas
+
+
 def enumerate_tame_pairs(g: FiniteGroup, q: int) -> list[TamePair]:
     """All generating pairs (sigma, tau) of G with sigma^-1 tau sigma = tau^q
-    and the order of tau coprime to q.  Nonempty exactly when G occurs as a
-    tame local Galois group at residue cardinality q, with inertia <tau>.
+    and the order of tau coprime to q, in lexicographic order of (sigma, tau).
+    Nonempty exactly when G occurs as a tame local Galois group at residue
+    cardinality q, with inertia <tau>.
     """
     if not numtheory.is_prime(q):
         raise ValueError(f"{q} is not prime")
-    n = g.order
-    orders = g.orders
-    tau_ok = np.array([math.gcd(int(o), q) == 1 for o in orders])
-    # tau^q for every tau by binary powering on the table
-    relation = g.conj == g.powers(q)[None, :]
-    closure_cache: dict[frozenset, int] = {}
-    out = []
-    for sigma, tau in np.argwhere(relation & tau_ok[None, :]):
-        key = frozenset((int(sigma), int(tau)))
-        size = closure_cache.get(key)
-        if size is None:
-            size = int(g.subgroup_closure([sigma, tau]).size)
-            closure_cache[key] = size
-        if size == n:
-            out.append(TamePair(group=g, sigma=int(sigma), tau=int(tau), q=q))
-    return out
+    taus = [t for t, o in enumerate(g.orders.tolist()) if math.gcd(o, q) == 1]
+    pairs = sorted(
+        (sigma, tau)
+        for tau, sigmas in _tame_pairs(g, q, taus, g.order)
+        for sigma in sigmas.tolist()
+    )
+    return [TamePair(group=g, sigma=s, tau=t, q=q) for s, t in pairs]
 
 
 @dataclass
@@ -214,26 +227,19 @@ class GrunwaldFeasibility:
 
 
 def _problem_feasible(g: FiniteGroup, spec: LocalExtensionSpec) -> bool:
-    n = g.order
     total = spec.e * spec.f
-    if total > n or n % total:
+    if g.order % total:
         return False
-    if math.gcd(spec.e, spec.p) != 1:
-        return False
-    orders = g.orders
-    taus = np.flatnonzero(orders == spec.e)
-    conj = g.conj
-    for tau in taus.tolist():
-        target = g.power(tau, spec.p)
-        for sigma in np.flatnonzero(conj[:, tau] == target).tolist():
-            d = g.subgroup_closure([sigma, tau])
-            if d.size != total:
-                continue
-            if spec.group_spec is not None and not is_isomorphic(
-                g.subgroup(d), spec.group_spec
-            ):
-                continue
+    taus = np.flatnonzero(g.orders == spec.e).tolist()
+    for tau, sigmas in _tame_pairs(g, spec.p, taus, total):
+        if spec.group_spec is None:
             return True
+        inertia = g.cyclic_subgroup(tau)
+        for sigma in sigmas.tolist():
+            # <sigma, tau> = {tau^i sigma^j}
+            d = g.table[inertia[:, None], g.cyclic_subgroup(sigma)]
+            if is_isomorphic(g.subgroup(d.ravel()), spec.group_spec):
+                return True
     return False
 
 

@@ -159,6 +159,17 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "sum-two-squares", "0")[0] == 1
 
 
+def test_malformed_local_specs_exit_1(capsys, tmp_path):
+    # input faults, so usage errors and not internal defects
+    batch = tmp_path / "b.json"
+    for content in ([{"p": 7, "e": 3}], [{"p": None, "e": 3, "f": 1}], [5], {"p": 7}, 5, ["7,3"]):
+        batch.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, "grunwald", "S3", "--batch", str(batch))
+        assert code == 1 and out == "" and "usage error" in err, content
+    for at in ("7,3", "7,3,1,1", "7,x,1", "p=7,e=3"):
+        assert run_cli(capsys, "grunwald", "S3", "--at", at)[0] == 1, at
+
+
 def test_oracle_refuses_strong_pseudoprime(capsys):
     # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the bases 2..37
     code, out, err = run_cli(capsys, "oracle", "--p", "318665857834031151167461",
@@ -214,11 +225,12 @@ STDOUT_SHA256 = {
 }
 
 
-def test_stdout_is_byte_identical(capsys, tmp_path, monkeypatch):
+def _stdout_commands():
+    """The commands of STDOUT_SHA256, writing their JSON tables to the
+    current directory."""
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
     commands = [shlex.split(line)[1:] for line in block.splitlines()]
-    monkeypatch.chdir(tmp_path)
     for spec in ("SD:61,4,11", "X:C8*D64"):
         g = groups.parse_group_spec(spec)
         rest = list(range(1, g.order))
@@ -227,9 +239,53 @@ def test_stdout_is_byte_identical(capsys, tmp_path, monkeypatch):
         name = f"t{g.order}.json"
         pathlib.Path(name).write_text(json.dumps({"order": g.order, "table": table}))
         commands += [["classify", name], ["obstructions", name]]
+    return commands
+
+
+def test_stdout_is_byte_identical(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _stdout_commands()
     got = {}
     for argv in commands:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         got[" ".join(argv)] = hashlib.sha256(out.encode()).hexdigest()
     assert got == STDOUT_SHA256
+
+
+def test_calls_in_one_process_share_no_state(capsys, tmp_path, monkeypatch):
+    # main reuses one parser, so no call may see the arguments of an earlier one
+    monkeypatch.chdir(tmp_path)
+    commands = _stdout_commands()
+    i = commands.index(["grunwald", "S3", "--at", "7,3,1", "--at", "11,1,2"])
+    commands.insert(i + 1, ["grunwald", "S3", "--at", "7,3,1"])
+    beckmann = ["verify-beckmann", "d=3,m=1,c=1", "--primes", "1000", "--samples", "5"]
+    commands += [
+        ["--seed", "4", *beckmann],
+        [*beckmann, "--seed", "5"],
+        beckmann,
+        ["--csv", "tame-pairs", "Q8", "3"],
+        ["grunwald", "S3", "--at", "7,3,1", "--at", "5,3,2", "--csv"],
+        ["--csv", "strata", "9", "3", "--bound", "100"],
+        ["lemma32-set", "3", "5", "--bound", "200", "--csv"],
+        ["obstructions", "X:C2*C2", "--csv"],
+        ["tame-pairs", "Q8", "3"],
+    ]
+    first = [run_cli(capsys, *argv) for argv in commands]
+    assert last_json(first[i + 1][1])["inputs"]["at"] == ["7,3,1"]
+    assert [last_json(first[j][1])["seed"] for j in (-9, -8, -7)] == [4, 5, 0]
+    assert not first[-6][1].startswith("{") and first[-1][1].startswith("{")
+    for argv, want in zip(commands, first):
+        assert run_cli(capsys, "classify", "Zoo")[0] == 1
+        assert run_cli(capsys, *argv) == want, argv
+
+
+def test_internal_defect_exits_3(capsys, monkeypatch):
+    def broken(p, d, v, w):
+        raise ArithmeticError("order search failed")
+
+    monkeypatch.setattr(cli, "kummer_local_invariants", broken)
+    code, out, err = run_cli(capsys, "oracle", "--p", "5", "--d", "3", "--v", "1", "--w", "1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert "Traceback" in err and "ArithmeticError: order search failed" in err

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tamegal import groups as G
@@ -67,14 +68,48 @@ def naive_tame_pairs(table, q):
     return out
 
 
+def closure_tame_pairs(g, q):
+    """The closure-based enumeration that the product-formula search replaced:
+    (sigma, tau, |<sigma, tau>|) for every generating tame pair, in order."""
+    orders = g.orders
+    tau_ok = np.array([math.gcd(int(o), q) == 1 for o in orders])
+    relation = g.conj == g.powers(q)[None, :]
+    closure_cache = {}
+    out = []
+    for sigma, tau in np.argwhere(relation & tau_ok[None, :]):
+        key = frozenset((int(sigma), int(tau)))
+        size = closure_cache.get(key)
+        if size is None:
+            size = int(g.subgroup_closure([sigma, tau]).size)
+            closure_cache[key] = size
+        if size == g.order:
+            out.append((int(sigma), int(tau), size))
+    return out
+
+
+def closure_problem_feasible(g, spec):
+    """The closure-based per-prime feasibility that the product-formula
+    search replaced."""
+    n = g.order
+    total = spec.e * spec.f
+    if total > n or n % total:
+        return False
+    conj = g.conj
+    for tau in np.flatnonzero(g.orders == spec.e).tolist():
+        target = g.power(tau, spec.p)
+        for sigma in np.flatnonzero(conj[:, tau] == target).tolist():
+            d = g.subgroup_closure([sigma, tau])
+            if d.size != total:
+                continue
+            if spec.group_spec is not None and not G.is_isomorphic(
+                g.subgroup(d), spec.group_spec
+            ):
+                continue
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
-
-
-def test_tame_local_field_type():
-    assert lt.TameLocalField(7).q == 7
-    for bad in (1, 4, 9):
-        with pytest.raises(ValueError):
-            lt.TameLocalField(bad)
 
 
 def test_cyclic_tame_exists_examples():
@@ -228,6 +263,89 @@ def test_local_spec_parsing_and_batch(tmp_path):
     path.write_text(json.dumps(["p=7,e=3,f=1", {"p": 11, "e": 1, "f": 2}]))
     batch = lt.load_local_spec_batch(str(path))
     assert [(s.p, s.e, s.f) for s in batch] == [(7, 3, 1), (11, 1, 2)]
+
+
+def test_local_spec_positional_form(tmp_path):
+    # "p,e,f" is accepted wherever a local spec string is, batch files included
+    assert lt.parse_local_spec(" 7, 3,1") == lt.parse_local_spec("p=7,e=3,f=1")
+    for bad in ("7,3", "7,3,1,2", "7,x,1"):
+        with pytest.raises(ValueError):
+            lt.parse_local_spec(bad)
+    with pytest.raises(lt.WildRamificationError):
+        lt.parse_local_spec("3,3,1")
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(["11,1,2", {"p": 5, "e": 3, "f": 2, "D": "S3"}]))
+    batch = lt.load_local_spec_batch(str(path))
+    assert [(s.p, s.e, s.f) for s in batch] == [(11, 1, 2), (5, 3, 2)]
+    assert batch[1].group_spec.order == 6
+
+
+# C2048 has 2048 pairs at q = 3 and 4096 at q = 5
+PAIR_GROUPS = [
+    ("C2048", (3, 5)),
+    ("D1021", (3, 2)),
+    ("X:C8*C16", (17, 3)),
+    ("SD:31,5,2", (2, 47, 3)),
+    ("Q8", (3, 5, 7)),
+    ("A4", (2, 5)),
+    ("S3", (2, 5, 7)),
+    ("S4", (5, 7)),
+    ("D13", (103, 5)),
+    ("Q16", (3, 7)),
+    ("SD:7,3,2", (2, 11)),
+    ("X:C2*C2", (3, 5)),
+]
+
+
+@pytest.mark.parametrize("spec,qs", PAIR_GROUPS)
+def test_tame_pairs_match_closure_reference(spec, qs):
+    g = G.parse_group_spec(spec)
+    for q in qs:
+        pairs = lt.enumerate_tame_pairs(g, q)
+        want = closure_tame_pairs(g, q)
+        assert [(p.sigma, p.tau) for p in pairs] == [(s, t) for s, t, _ in want], (spec, q)
+        for pair, (_, tau, size) in zip(pairs, want):
+            assert pair.residue_degree * g.element_order(tau) == size
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "SD:7,3,2", "S4", "X:C4*C4", "Q16"])
+def test_residue_degree_matches_closure_on_non_generating_pairs(spec):
+    # every (sigma, tau) under the relation, most of which generate a proper subgroup
+    g = G.parse_group_spec(spec)
+    for q in (2, 3, 5, 7):
+        for sigma, tau in np.argwhere(g.conj == g.powers(q)[None, :]).tolist():
+            pair = lt.TamePair(group=g, sigma=sigma, tau=tau, q=q)
+            if not pair.verify():
+                continue
+            size = g.subgroup_closure([sigma, tau]).size
+            assert pair.residue_degree * pair.inertia_order == size, (spec, q, sigma, tau)
+
+
+GRUNWALD_GROUPS = ["S3", "D7", "Q8", "A4", "SD:7,3,2", "SD:13,3,3", "X:C2*C2"]
+
+
+def _decomposition_candidates(m):
+    specs = [f"C{m}"] + ([f"D{m // 2}"] if m % 2 == 0 and m >= 4 else [])
+    specs += [s for s in GRUNWALD_GROUPS if G.parse_group_spec(s).order == m]
+    return [G.parse_group_spec(s) for s in specs]
+
+
+@pytest.mark.parametrize("spec", GRUNWALD_GROUPS)
+def test_grunwald_matches_closure_reference(spec):
+    g = G.parse_group_spec(spec)
+    problems = []
+    for p in nt.primes_upto(29).tolist():
+        for m in nt.divisors(g.order):
+            for e in nt.divisors(m):
+                if e % p == 0:
+                    continue
+                problems.append(lt.LocalExtensionSpec(p, e, m // e))
+                problems += [
+                    lt.LocalExtensionSpec(p, e, m // e, d) for d in _decomposition_candidates(m)
+                ]
+    rep = lt.grunwald_feasible(g, problems)
+    assert rep.feasible == [closure_problem_feasible(g, s) for s in problems]
+    assert any(rep.feasible) and not all(rep.feasible)
 
 
 # sum-of-two-squares criterion
