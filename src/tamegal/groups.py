@@ -16,6 +16,12 @@ free of any external group database.  Four algorithms carry the work:
   order P coprime to its index is {x : ord(x) | P}, and its complements are
   conjugate (Schur-Zassenhaus), so one complement decides.
 
+Any group can also come from a JSON file (see :func:`parse_group_spec`): an
+object whose "table" is a square array of arrays of non-negative JSON
+integers, and whose "order", if present, is an integer equal to the row
+count.  Other keys are ignored.  The table is read by whole-buffer byte
+passes straight into int32, without a Python int per entry.
+
 The three classification flags reported by :func:`classify`:
 
 * ``hg_real``      -- cyclic of order 2 or an odd prime power, or a Frobenius
@@ -33,6 +39,7 @@ import itertools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,13 +375,100 @@ def relabeled(g: FiniteGroup, perm) -> FiniteGroup:
 # spec mini-language
 
 
-def from_json_dict(data: dict, label: str | None = None) -> FiniteGroup:
-    if "table" not in data:
+_JSON_DECODER = json.JSONDecoder()
+_JSON_WS = re.compile(r"[ \t\n\r]*")
+# Rows of a valid table hold no brackets, so the first "]" that is followed,
+# across whitespace, by a second "]" closes the table.
+_TABLE_END = re.compile(r"\][ \t\n\r]*\]")
+_DIGIT_MASK = bytes(48 <= c <= 57 for c in range(256))
+_NOT_A_TABLE = "'table' must be an array of arrays of non-negative integers"
+
+
+def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
+    """The table value that starts at text[pos], as an n x n int32 array, and
+    the offset just past it.
+
+    Whole-buffer byte passes stand in for a JSON parse, so no Python int is
+    built per entry.  With whitespace dropped the table must read
+    "[[" row "],[" ... "],[" row "]]", each row n tokens of digits between
+    n - 1 commas.  Digit runs before the drop must be the n^2 tokens (no
+    whitespace inside a number), and the parsed values must account for every
+    digit (no leading zero, no number that wrapped in int32).
+    """
+    end = _TABLE_END.search(text, pos)
+    if end is None:
+        raise GroupError(_NOT_A_TABLE)
+    raw = text[pos:end.end()].encode()
+    s = raw.translate(None, b" \t\n\r")
+    if s[:2] != b"[[":
+        raise GroupError(_NOT_A_TABLE)
+    rows = s[2:-2].split(b"],[", ORDER_CAP)
+    n = len(rows)
+    if n > ORDER_CAP:
+        raise GroupError(f"table has more than {ORDER_CAP} rows")
+    flat = b",".join(rows)
+    if flat.translate(None, b"0123456789,"):
+        raise GroupError(_NOT_A_TABLE)
+    if any(row.count(b",") != n - 1 for row in rows):
+        raise GroupError("Cayley table must be square")
+    try:
+        values = np.fromstring(flat, dtype=np.int32, sep=",")
+    except ValueError as exc:  # an empty token: ",," or a comma at a row end
+        raise GroupError(_NOT_A_TABLE) from exc
+    # as many digit runs before whitespace was dropped, or "1 2" was read as 12
+    digit = np.frombuffer(raw.translate(_DIGIT_MASK), dtype=bool)
+    if values.size != n * n or np.count_nonzero(digit[1:] > digit[:-1]) != n * n:
+        raise GroupError(_NOT_A_TABLE)
+    if values.min() < 0 or values.max() >= n:
+        raise GroupError("table entries out of range")
+    digits = values.size + sum(
+        np.count_nonzero(values >= 10**k) for k in range(1, len(str(n - 1)))
+    )
+    if digits != len(flat) - (n * n - 1):
+        raise GroupError(_NOT_A_TABLE)
+    return values.reshape(n, n), end.end()
+
+
+def _read_table_file(path: str) -> FiniteGroup:
+    """The group of a JSON file {"order": n, "table": [[...]]}.  The top-level
+    object is walked key by key with the stdlib decoder, except that the
+    "table" value goes to :func:`_read_table`.  As with json.load, a repeated
+    key keeps its last value; other keys are ignored."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    decode = _JSON_DECODER.raw_decode
+
+    def expect(pos: int, char: str) -> int:
+        pos = _JSON_WS.match(text, pos).end()
+        if not text.startswith(char, pos):
+            raise GroupError(f"group JSON: expected {char!r} at char {pos}")
+        return _JSON_WS.match(text, pos + 1).end()
+
+    fields = {}
+    pos = expect(0, "{")
+    try:
+        while True:
+            if not text.startswith('"', pos):
+                raise GroupError(f"group JSON: expected a key at char {pos}")
+            key, pos = decode(text, pos)
+            pos = expect(pos, ":")
+            read = _read_table if key == "table" else decode
+            fields[key], pos = read(text, pos)
+            pos = _JSON_WS.match(text, pos).end()
+            if not text.startswith(",", pos):
+                break
+            pos = _JSON_WS.match(text, pos + 1).end()
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nesting too deep to decode
+        raise GroupError(f"group JSON: {exc}") from exc
+    if expect(pos, "}") != len(text):
+        raise GroupError("group JSON: data after the object")
+    if "table" not in fields:
         raise GroupError("group JSON needs a 'table' field")
-    table = data["table"]
-    if "order" in data and len(table) != int(data["order"]):
-        raise GroupError("declared order does not match the table size")
-    return FiniteGroup(table, label=label or data.get("label", "G"), validate=True)
+    n = len(fields["table"])
+    order = fields.get("order", n)
+    if type(order) is not int or order != n:
+        raise GroupError("'order' must be an integer equal to the table size")
+    return FiniteGroup(fields["table"], label=os.path.basename(path))
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -385,9 +479,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if not spec:
         raise GroupError("empty group spec")
     if spec.startswith("@") or spec.endswith(".json") or os.path.sep in spec:
-        path = spec[1:] if spec.startswith("@") else spec
-        with open(path, "r", encoding="utf-8") as fh:
-            return from_json_dict(json.load(fh), label=os.path.basename(path))
+        return _read_table_file(spec[1:] if spec.startswith("@") else spec)
     if spec.startswith("X:"):
         parts = spec[2:].split("*")
         if len(parts) < 2:

@@ -105,15 +105,24 @@ class LocalExtensionSpec:
 
 
 def _local_spec(fields, source) -> LocalExtensionSpec:
+    """p, e and f must be JSON integers or digit strings, and D, if given and
+    not null, a group spec string."""
     try:
-        spec = LocalExtensionSpec(
-            p=int(fields["p"]),
-            e=int(fields["e"]),
-            f=int(fields["f"]),
-            group_spec=parse_group_spec(fields["D"]) if fields.get("D") is not None else None,
-        )
+        p, e, f = (fields[key] for key in "pef")
+        group = fields.get("D")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad local spec {source!r}: {exc!r}") from exc
+    for x in (p, e, f):
+        if not (type(x) is int or isinstance(x, str) and x.isascii() and x.isdigit()):
+            raise ValueError(f"bad local spec {source!r}: {x!r} is not an integer")
+    if group is not None and not isinstance(group, str):
+        raise ValueError(f"bad local spec {source!r}: D must be a group spec string")
+    spec = LocalExtensionSpec(
+        p=int(p),
+        e=int(e),
+        f=int(f),
+        group_spec=None if group is None else parse_group_spec(group),
+    )
     spec.validate()
     return spec
 
@@ -126,7 +135,7 @@ def parse_local_spec(text: str) -> LocalExtensionSpec:
         parts = text.split(",")
         if len(parts) != 3:
             raise ValueError(f"local spec {text!r} is neither p,e,f nor p=..,e=..,f=..")
-        return _local_spec(dict(zip("pef", parts)), text)
+        return _local_spec(dict(zip("pef", (x.strip() for x in parts))), text)
     fields: dict[str, str] = {}
     rest = text
     while rest:

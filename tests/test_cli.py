@@ -162,12 +162,41 @@ def test_usage_errors_exit_1(capsys):
 def test_malformed_local_specs_exit_1(capsys, tmp_path):
     # input faults, so usage errors and not internal defects
     batch = tmp_path / "b.json"
-    for content in ([{"p": 7, "e": 3}], [{"p": None, "e": 3, "f": 1}], [5], {"p": 7}, 5, ["7,3"]):
+    for content in ([{"p": 7, "e": 3}], [{"p": None, "e": 3, "f": 1}], [5], {"p": 7}, 5, ["7,3"],
+                    [{"p": 7.9, "e": 3, "f": 1}], [{"p": 7, "e": True, "f": 1}],
+                    [{"p": 7, "e": 3, "f": 1, "D": 5}], [{"p": 7, "e": 3, "f": 1, "D": ["S3"]}],
+                    [{"p": "7.0", "e": 3, "f": 1}], [{"p": 7, "e": "+3", "f": 1}],
+                    [{"p": 7, "e": 3, "f": [1]}], [{"p": 7, "e": 3, "f": 1.0}]):
         batch.write_text(json.dumps(content))
         code, out, err = run_cli(capsys, "grunwald", "S3", "--batch", str(batch))
         assert code == 1 and out == "" and "usage error" in err, content
-    for at in ("7,3", "7,3,1,1", "7,x,1", "p=7,e=3"):
+    for at in ("7,3", "7,3,1,1", "7,x,1", "p=7,e=3", "7,+3,1", "p=7.9,e=3,f=1", "7,٣,1"):
         assert run_cli(capsys, "grunwald", "S3", "--at", at)[0] == 1, at
+
+
+def test_local_spec_field_types(capsys, tmp_path):
+    # JSON integers and digit strings mix; a null D means no D
+    batch = tmp_path / "b.json"
+    batch.write_text(json.dumps([{"p": "7", "e": 3, "f": "1", "D": None}, " 7, 3 , 1 "]))
+    code, out, _ = run_cli(capsys, "grunwald", "S3", "--batch", str(batch))
+    assert code == 0
+    problems = last_json(out)["result"]["problems"]
+    assert [(q["p"], q["e"], q["f"], q["D"]) for q in problems] == [(7, 3, 1, None)] * 2
+
+
+def test_non_integer_tables_exit_1(capsys, tmp_path):
+    for i, doc in enumerate([
+        '{"table": [[0, 1.7], [1.2, 0]]}',
+        '{"table": [["0", "1"], ["1", "0"]]}',
+        '{"table": [[false, true], [true, false]]}',
+        '{"table": [[0, 99999999999999999999], [1, 0]]}',
+        '{"order": "2", "table": [[0, 1], [1, 0]]}',
+        '{"order": 2.0, "table": [[0, 1], [1, 0]]}',
+    ]):
+        path = tmp_path / f"t{i}.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 1 and out == "" and "usage error" in err, doc
 
 
 def test_oracle_refuses_strong_pseudoprime(capsys):

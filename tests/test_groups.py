@@ -1,12 +1,16 @@
+import functools
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tamegal import groups as G
 from tamegal import numtheory as nt
@@ -586,3 +590,247 @@ def test_cyclic_table_matches_outer_sum(n):
     table = G.cyclic(n).table
     assert table.dtype == np.int32 and table.flags.c_contiguous
     assert table.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# JSON table files against the reader they replaced
+
+# how the reference refuses a file: JSON errors, missing keys, ragged rows,
+# numbers beyond int32
+REF_REFUSALS = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def ref_read_table_file(path):
+    """json.load, then np.asarray: how parse_group_spec read a table file
+    before it walked the bytes itself, with a strict check added that every
+    entry, and the order if given, is a JSON integer."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    table = data["table"]
+    if not all(type(x) is int for row in table for x in row):
+        raise G.GroupError("table entries must be JSON integers")
+    if "order" in data and (type(data["order"]) is not int or len(table) != data["order"]):
+        raise G.GroupError("declared order does not match the table size")
+    return G.FiniteGroup(table, label=os.path.basename(path), validate=True)
+
+
+def assert_read_alike(path):
+    got, want = G.parse_group_spec(str(path)), ref_read_table_file(str(path))
+    assert got.table.dtype == np.int32 and got.table.flags.c_contiguous
+    assert np.array_equal(got.table, want.table)
+    assert got.label == want.label == path.name
+
+
+def assert_both_refuse(path):
+    with pytest.raises(REF_REFUSALS):
+        ref_read_table_file(str(path))
+    with pytest.raises(G.GroupError):
+        G.parse_group_spec(str(path))
+
+
+TABLE_SPECS = ("C1", "C2", "C5", "C12", "S3", "Q8", "X:C2*C2", "D5", "A4", "SD:7,3,2")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+# labels that look like table syntax, escapes and non-ASCII text
+LABELS = st.sampled_from(["table", '"table": [[0]]', "[[", "]]", "]\n]", 'a\\"b\né☃', ""])
+JSON_WS = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+@st.composite
+def group_tables(draw):
+    g = G.parse_group_spec(draw(st.sampled_from(TABLE_SPECS)))
+    perm = draw(st.permutations(range(1, g.order)))
+    return G.relabeled(g, [0, *perm]).table.tolist()
+
+
+@st.composite
+def json_styles(draw):
+    return {
+        "indent": draw(st.sampled_from([None, 0, 1, 2, "\t"])),
+        "separators": draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " : "), (",\r\n", ":\t")])),
+        "sort_keys": draw(st.booleans()),
+        "ensure_ascii": draw(st.booleans()),
+    }
+
+
+@st.composite
+def table_objects(draw):
+    """(table, pairs): the keys of a table file in file order, repeats kept.
+    The last "table" is the table and the last "order", if any, its size;
+    earlier ones are other tables and other integers."""
+    table = draw(group_tables())
+    keys = ["table"] * draw(st.integers(1, 2)) + ["order"] * draw(st.integers(0, 2))
+    keys += draw(st.lists(st.sampled_from(["label", "x", "é", "table_"]) | st.text(max_size=4), max_size=4))
+    keys = draw(st.permutations(keys))
+    last = {k: i for i, k in enumerate(keys)}
+    pairs = []
+    for i, key in enumerate(keys):
+        if key == "table":
+            value = table if i == last[key] else draw(group_tables())
+        elif key == "order":
+            value = len(table) if i == last[key] else draw(st.integers(0, 50))
+        else:
+            value = draw(LABELS | JSON_VALUES)
+        pairs.append((key, value))
+    return table, pairs
+
+
+def render(pairs, style, table_text=None):
+    """The object of pairs, repeats kept, as json.dumps would write each value
+    in style; the last "table" value is written as table_text if given."""
+    dump = functools.partial(json.dumps, **style)
+    item_sep, key_sep = style["separators"]
+    last = max((i for i, (k, _) in enumerate(pairs) if k == "table"), default=None)
+    items = [
+        dump(k) + key_sep + (table_text if i == last and table_text is not None else dump(v))
+        for i, (k, v) in enumerate(pairs)
+    ]
+    return "{" + item_sep.join(items) + "}"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=table_objects(), style=json_styles(), whole=st.booleans(), lead=JSON_WS, trail=JSON_WS)
+def test_table_reader_matches_json_loads(tmp_path, obj, style, whole, lead, trail):
+    _, pairs = obj
+    if whole and len({k for k, _ in pairs}) == len(pairs):
+        doc = json.dumps(dict(pairs), **style)
+    else:
+        doc = render(pairs, style)
+    path = tmp_path / "g.json"
+    path.write_text(lead + doc + trail, encoding="utf-8")
+    assert_read_alike(path)
+
+
+def _mutate(draw, table, style):
+    """The text of table with one defect that JSON or the table shape forbids."""
+    dump = functools.partial(json.dumps, **style)
+    kind = draw(st.sampled_from([
+        "double comma", "leading zero", "negative", "exponent", "fraction", "string",
+        "bool", "null", "nested entry", "nested table", "space in number", "digit for bracket",
+        "short row", "long row", "moved entry", "extra row", "empty", "empty row", "row comma",
+    ]))
+    if kind in ("short row", "long row", "moved entry", "extra row", "empty", "empty row"):
+        i = draw(st.integers(0, len(table) - 1))
+        rows = [list(r) for r in table]
+        if kind == "short row":
+            rows[i].pop()
+        elif kind == "moved entry":  # the same entries in the same order, rows ragged
+            if i + 1 < len(rows):
+                rows[i + 1].insert(0, rows[i].pop())
+            else:
+                rows[i].append(0)
+        elif kind == "long row":
+            rows[i].append(0)
+        elif kind == "extra row":
+            rows.append(rows[i])
+        elif kind == "empty":
+            rows = []
+        else:
+            rows[i] = []
+        return dump(rows)
+    text = dump(table)
+    if kind == "nested table":
+        return "[" + text + "]"
+    if kind == "row comma":
+        return re.sub(r"\][ \t\n\r]*\]", "],]", text, count=1)
+    if kind == "digit for bracket":
+        i = text.index("[", 1)
+        return text[:i] + "5" + text[i + 1:]
+    tokens = list(re.finditer(r"\d+", text))
+    if kind == "space in number":  # splitting 10 into "1 0" keeps a valid group
+        tokens = [m for m in tokens if len(m.group()) > 1] or tokens
+    m = tokens[draw(st.integers(0, len(tokens) - 1))]
+    t = m.group()
+    gap = draw(st.sampled_from([" ", "\n", "\t ", "\r\n"]))
+    new = {
+        "double comma": t + ",,0", "leading zero": "0" + t, "negative": "-1",
+        "exponent": t + "e0", "fraction": t + ".0", "string": json.dumps(t),
+        "bool": "true", "null": "null", "nested entry": "[" + t + "]",
+        "space in number": t[:1] + gap + (t[1:] or t),
+    }[kind]
+    return text[: m.start()] + new + text[m.end():]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=table_objects(), style=json_styles(), data=st.data())
+def test_table_reader_refuses_what_json_loads_refuses(tmp_path, obj, style, data):
+    table, pairs = obj
+    where = data.draw(st.sampled_from(["table", "order", "no table", "trailing", "truncated"]))
+    if where == "table":
+        doc = render(pairs, style, _mutate(data.draw, table, style))
+    elif where == "order":
+        bad = data.draw(st.sampled_from([str(len(table)), float(len(table)), len(table) + 1, True, None]))
+        doc = render(pairs + [("order", bad)], style)
+    elif where == "no table":
+        doc = render([(k, v) for k, v in pairs if k != "table"], style)
+    elif where == "trailing":
+        doc = render(pairs, style) + data.draw(st.sampled_from(["x", "0", "{}", "]", ",", '"a"']))
+    else:
+        doc = render(pairs, style)
+        doc = doc[: data.draw(st.integers(0, len(doc) - 1))]
+    path = tmp_path / "g.json"
+    path.write_text(doc, encoding="utf-8")
+    assert_both_refuse(path)
+
+
+@pytest.mark.parametrize("spec", ["X:C8*D64", "SD:31,30,3", "D256", "SD:61,4,11"])
+def test_table_reader_on_benchmark_tables(tmp_path, spec):
+    # written as the local-queries workload writes them: orders 1024, 930, 512, 244
+    g = G.parse_group_spec(spec)
+    perm = np.concatenate([[0], 1 + np.random.default_rng(g.order).permutation(g.order - 1)])
+    path = tmp_path / f"t{g.order}.json"
+    path.write_text(json.dumps({"order": g.order, "table": G.relabeled(g, perm).table.tolist()}))
+    assert_read_alike(path)
+
+
+_C12 = json.dumps(G.cyclic(12).table.tolist())
+
+
+@pytest.mark.parametrize("doc", [
+    # each a valid group once whitespace, row brackets or the first "[" are
+    # ignored: "1 0" for 10, one entry moved to the next row, "[50," for "[[0,"
+    '{"table": ' + _C12.replace("10", "1 0", 1) + "}",
+    '{"table": ' + _C12.replace("10", "1\n0", 1) + "}",
+    '{"table": [[0, 1], [2, 1, 2, 0], [2, 0, 1]]}',
+    '{"table": [50, 1], [1, 0]]}',
+])
+def test_table_reader_refuses_defects_that_hide_a_group(tmp_path, doc):
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    assert_both_refuse(path)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"table": [[0, 1.7], [1.2, 0]]}',
+    '{"table": [["0", "1"], ["1", "0"]]}',
+    '{"table": [[false, true], [true, false]]}',
+    '{"table": [[0, 99999999999999999999], [1, 0]]}',
+    '{"table": [[0, 4294967297], [1, 0]]}',
+    '{"order": "2", "table": [[0, 1], [1, 0]]}',
+    '{"order": 2.0, "table": [[0, 1], [1, 0]]}',
+    '{"order": true, "table": [[0]]}',
+])
+def test_table_reader_refuses_non_integer_tables(tmp_path, doc):
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    with pytest.raises(G.GroupError):
+        G.parse_group_spec(str(path))
+
+
+def test_table_reader_names_out_of_range_entries(tmp_path):
+    # a table numbered from 1 is refused for its range, not its syntax
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"table": (G.cyclic(10).table + 1).tolist()}))
+    with pytest.raises(G.GroupError, match="out of range"):
+        G.parse_group_spec(str(path))
+
+
+def test_table_reader_refuses_deep_nesting(tmp_path):
+    # json.load raises RecursionError here, an internal defect at the CLI
+    path = tmp_path / "g.json"
+    path.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + ', "table": [[0]]}')
+    with pytest.raises(G.GroupError):
+        G.parse_group_spec(str(path))
