@@ -72,9 +72,6 @@ def _global_flags() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS, help="JSON output (default)"
-    )
-    common.add_argument(
         "--csv", action="store_true", default=argparse.SUPPRESS, help="CSV output where supported"
     )
     common.add_argument(
@@ -87,7 +84,7 @@ def _global_flags() -> argparse.ArgumentParser:
 def build_parser() -> _Parser:
     """The CLI parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="tamegal", description=__doc__, parents=[_global_flags()])
-    parser.set_defaults(json=False, csv=False, seed=0)
+    parser.set_defaults(csv=False, seed=0)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add(name, **kwargs):

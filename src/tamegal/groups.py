@@ -3,18 +3,22 @@
 Groups are plain index tables: elements are 0..order-1, element 0 is the
 identity, and table[i, j] is the index of the product.  Every predicate is
 decided exactly on the table (order cap 2048), which keeps the whole module
-free of any external group database.  Four algorithms carry the work:
+free of any external group database.  Three algorithms carry the work:
 
 * element orders by prime descent: for each p^a || n, y = x^(n/p^a) by
   binary powering, and the p-part of ord(x) is the least p^k with
   y^(p^k) = 1;
 * subgroup closure by Dimino's algorithm: whole right cosets H*x are added,
   one gather each, with representatives closed under the generators;
-* Sylow subgroups by the normalizer step: a p-element that normalizes a
-  non-Sylow p-subgroup P and lies outside it extends P;
 * the Frobenius search reads the kernel off the orders: a normal subgroup of
   order P coprime to its index is {x : ord(x) | P}, and its complements are
   conjugate (Schur-Zassenhaus), so one complement decides.
+
+Sylow shapes need no subgroup (see :func:`sylow_shape`): a Sylow p-subgroup
+has order p^a for p^a || n, it is cyclic iff some element has order p^a, and
+a non-cyclic Sylow 2-subgroup is generalized quaternion iff its involution
+is unique, that is iff the first involution z of G commutes with no other
+involution (Gorenstein, *Finite Groups*, Thm 5.4.10(ii)).
 
 Any group can also come from a JSON file (see :func:`parse_group_spec`): an
 object whose "table" is a square array of arrays of non-negative JSON
@@ -338,16 +342,13 @@ def symmetric(m: int) -> FiniteGroup:
     return _perm_group(list(itertools.permutations(range(m))), f"S{m}")
 
 
-def _parity(perm) -> int:
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    return inv % 2
-
-
 def alternating(m: int) -> FiniteGroup:
+    """A_m as the subgroup of S_m generated by the squares (3-cycles among
+    them); it keeps the sorted order of S_m, so the even permutations."""
     if m < 3 or math.factorial(m) // 2 > ORDER_CAP:
         raise GroupError(f"alternating degree {m} out of range")
-    perms = [p for p in itertools.permutations(range(m)) if _parity(p) == 0]
-    return _perm_group(perms, f"A{m}")
+    S = symmetric(m)
+    return S.subgroup(S.subgroup_closure(np.unique(S.powers(2))), label=f"A{m}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -637,66 +638,38 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
     return out
 
 
-def _sylow_subgroup(g: FiniteGroup, p: int) -> np.ndarray:
-    """A Sylow p-subgroup by the normalizer step: start from the cyclic
-    subgroup of a p-element of highest order and, while P is not Sylow, add
-    a p-element outside P that normalizes it.  One exists, since P is a
-    proper subgroup of some Sylow S and N_S(P) > P, and <P, x> = P<x> is
-    again a p-group."""
-    n, t = g.order, g.table
-    target = p ** numtheory.valuation(n, p)
-    if target == n:
-        return np.arange(n, dtype=np.int64)
-    orders = g.orders
-    pelems = np.flatnonzero(target % orders == 0)
-    pelems = pelems[np.argsort(-orders[pelems], kind="stable")]
-    gens = [int(pelems[0])]
-    cur = g.cyclic_subgroup(gens[0])
-    while cur.size < target:
-        inside = np.zeros(n, dtype=bool)
-        inside[cur] = True
-        cand = pelems[~inside[pelems]]
-        # x normalizes P iff x^-1 y x lies in P for each generator y of P
-        conj = t[t[g.inv[cand][:, None], gens], cand[:, None]]
-        ok = inside[conj].all(axis=1)
-        if not ok.any():  # pragma: no cover - impossible by Sylow theory
-            raise GroupError("Sylow normalizer step stalled")
-        gens.append(int(cand[np.argmax(ok)]))
-        cur = g.subgroup_closure(gens)
-    return cur
-
-
 def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
-    """Build one Sylow p-subgroup by the normalizer step and classify its shape.
+    """The shape of a Sylow p-subgroup T, read from element orders and one
+    centralizer row; no subgroup is built.  With p^a || n, T has order p^a
+    (Sylow), and:
 
-    GeneralizedQuaternion requires order >= 8, a unique involution, and a
-    cyclic index-2 subgroup inverted by an order-4 element outside it.
+    * Cyclic iff some element has order p^a;
+    * GeneralizedQuaternion iff p = 2, T is not cyclic and z = invs[0], the
+      first involution, is the only involution that commutes with z.  A
+      non-cyclic 2-group with a unique involution is generalized quaternion
+      (Gorenstein, *Finite Groups*, Thm 5.4.10(ii)), and T has a unique
+      involution iff z is the only involution in its centralizer.  Take T
+      containing z.  If T has a second involution, Z(T) holds an involution
+      z'; if z' != z it commutes with z, and if z' = z then z commutes with
+      the second one.  Conversely an involution x != z that commutes with z
+      gives a Klein four-group <x, z>, which lies in a Sylow 2-subgroup, a
+      conjugate of T, so T has more than one involution.  Any z will do;
+    * Other in every remaining case.
     """
     if not numtheory.is_prime(p):
         raise GroupError(f"{p} is not prime")
     if g.order % p:
         raise GroupError(f"{p} does not divide the group order {g.order}")
     target = p ** numtheory.valuation(g.order, p)
-    if (g.orders == target).any():
-        # an element of full p-part order generates a Sylow subgroup
+    orders, t = g.orders, g.table
+    if (orders == target).any():
         return SylowShape(SYLOW_CYCLIC, target)
-    elems = _sylow_subgroup(g, p)
-    size = int(elems.size)
-    sub_orders = g.orders[elems]
-    if p == 2 and size >= 8:
-        involutions = elems[sub_orders == 2]
-        if involutions.size == 1:
-            half_gens = elems[sub_orders == size // 2]
-            fours = elems[sub_orders == 4]
-            for c in half_gens.tolist():
-                c_sub = set(g.cyclic_subgroup(c).tolist())
-                c_inv = g.inverse(c)
-                for y in fours.tolist():
-                    if y in c_sub:
-                        continue
-                    if g.mul(g.inverse(y), g.mul(c, y)) == c_inv:
-                        return SylowShape(SYLOW_GENERALIZED_QUATERNION, size)
-    return SylowShape(SYLOW_OTHER, size)
+    if p == 2:
+        invs = np.flatnonzero(orders == 2)
+        z = invs[0]
+        if np.count_nonzero(t[invs, z] == t[z, invs]) == 1:
+            return SylowShape(SYLOW_GENERALIZED_QUATERNION, target)
+    return SylowShape(SYLOW_OTHER, target)
 
 
 def frobenius_cyclic_decomposition(g: FiniteGroup) -> FrobeniusDecomposition | None:

@@ -157,6 +157,7 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys, "local-cyclic", "7", "6", "4")[0] == 1
     assert run_cli(capsys, "sum-two-squares", "0")[0] == 1
+    assert run_cli(capsys, "--json", "classify", "S3")[0] == 1
 
 
 def test_malformed_local_specs_exit_1(capsys, tmp_path):
@@ -261,14 +262,21 @@ def _stdout_commands():
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
     commands = [shlex.split(line)[1:] for line in block.splitlines()]
     for spec in ("SD:61,4,11", "X:C8*D64"):
-        g = groups.parse_group_spec(spec)
-        rest = list(range(1, g.order))
-        random.Random(g.order).shuffle(rest)
-        table = groups.relabeled(g, [0] + rest).table.tolist()
-        name = f"t{g.order}.json"
-        pathlib.Path(name).write_text(json.dumps({"order": g.order, "table": table}))
+        name = _write_relabeled_table(spec)
         commands += [["classify", name], ["obstructions", name]]
     return commands
+
+
+def _write_relabeled_table(spec):
+    """Write the table of spec, relabeled by a shuffle seeded with its order,
+    to t<order>.json in the current directory; returns the file name."""
+    g = groups.parse_group_spec(spec)
+    rest = list(range(1, g.order))
+    random.Random(g.order).shuffle(rest)
+    table = groups.relabeled(g, [0] + rest).table.tolist()
+    name = f"t{g.order}.json"
+    pathlib.Path(name).write_text(json.dumps({"order": g.order, "table": table}))
+    return name
 
 
 def test_stdout_is_byte_identical(capsys, tmp_path, monkeypatch):
@@ -307,6 +315,33 @@ def test_calls_in_one_process_share_no_state(capsys, tmp_path, monkeypatch):
     for argv, want in zip(commands, first):
         assert run_cli(capsys, "classify", "Zoo")[0] == 1
         assert run_cli(capsys, *argv) == want, argv
+
+
+# sha256 of classify stdout for groups whose Sylow shapes are generalized
+# quaternion, dihedral, Klein or cyclic, and for a relabeled JSON table of
+# X:Q16*SD:7,3,2, recorded while the shapes were read off a built subgroup.
+SYLOW_STDOUT_SHA256 = {
+    "classify Q8": "e1eb80ffcfc2bbc6ec37018a47fadfb9353d5b4a8a7a0641d7fc18800cb5ca35",
+    "classify Q32": "23e55d0490b8dcc2f936a6908605134bd301d415bf41ac7cdd1927cc667cead4",
+    "classify X:Q8*C3": "3cf4f1dad7f6ed1eebe309d6c83fe90e954ab4e212f95c9ce7c581392a863573",
+    "classify X:Q16*D3": "e20ee52ff80af5a556048886ee30ebe0ecd79aa1716fbd893494abe29ff212d6",
+    "classify X:Q8*Q8": "4bbb71c8fcaa04bb442ddc577d9012f15d0ec46fa9c2969b60c88ffb1c2fc7d8",
+    "classify S4": "b07e504f787119ea42acc5dd527efeaf41596f422f3faf8b7a9513742220f05e",
+    "classify A5": "c03012397861cad3b39d97019ec3ca4bd223bcab5a8b32093d9625ee9ce65a42",
+    "classify SD:3,8,2": "fd922df7f17243f68ad3a7213396b03c9c77c6ae766d76f945853aa58e94a3e3",
+    "classify t336.json": "96e4aaa123607dd0348cd5c9c1449414c66dc96088b7b140940db1af782cc90c",
+}
+
+
+def test_sylow_shapes_stdout_is_byte_identical(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _write_relabeled_table("X:Q16*SD:7,3,2") == "t336.json"
+    got = {}
+    for cmd in SYLOW_STDOUT_SHA256:
+        code, out, _ = run_cli(capsys, *cmd.split())
+        assert code == 0, cmd
+        got[cmd] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == SYLOW_STDOUT_SHA256
 
 
 def test_internal_defect_exits_3(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import os
@@ -535,12 +536,77 @@ def test_frobenius_matches_exhaustive_search(g):
     assert G.frobenius_cyclic_decomposition(g) == ref_frobenius(g)
 
 
+def ref_sylow_subgroup(g, p):
+    """A Sylow p-subgroup by the normalizer step: start from the cyclic
+    subgroup of a p-element of highest order and, while P is not Sylow, add
+    a p-element outside P that normalizes it.  One exists, since P is a
+    proper subgroup of some Sylow S and N_S(P) > P, and <P, x> = P<x> is
+    again a p-group.  Asserts that the result is closed, of order p^a."""
+    n, t = g.order, g.table
+    target = p ** nt.valuation(n, p)
+    orders = g.orders
+    pelems = np.flatnonzero(target % orders == 0)
+    pelems = pelems[np.argsort(-orders[pelems], kind="stable")]
+    gens = [int(pelems[0])]
+    cur = g.cyclic_subgroup(gens[0])
+    while cur.size < target:
+        inside = np.zeros(n, dtype=bool)
+        inside[cur] = True
+        cand = pelems[~inside[pelems]]
+        # x normalizes P iff x^-1 y x lies in P for each generator y of P
+        conj = t[t[g.inv[cand][:, None], gens], cand[:, None]]
+        ok = inside[conj].all(axis=1)
+        assert ok.any(), "Sylow normalizer step stalled"
+        gens.append(int(cand[np.argmax(ok)]))
+        cur = g.subgroup_closure(gens)
+    assert cur.size == target
+    assert np.isin(t[np.ix_(cur, cur)], cur).all()
+    return cur
+
+
+def ref_sylow_shape(g, p):
+    """Classify a built Sylow subgroup: GeneralizedQuaternion needs order
+    >= 8, a unique involution, and a cyclic index-2 subgroup inverted by an
+    order-4 element outside it."""
+    elems = ref_sylow_subgroup(g, p)
+    size = int(elems.size)
+    sub_orders = g.orders[elems]
+    if (sub_orders == size).any():
+        return G.SylowShape(G.SYLOW_CYCLIC, size)
+    if p == 2 and size >= 8 and np.count_nonzero(sub_orders == 2) == 1:
+        for c in elems[sub_orders == size // 2].tolist():
+            c_sub = set(g.cyclic_subgroup(c).tolist())
+            for y in elems[sub_orders == 4].tolist():
+                if y not in c_sub and g.mul(g.inverse(y), g.mul(c, y)) == g.inverse(c):
+                    return G.SylowShape(G.SYLOW_GENERALIZED_QUATERNION, size)
+    return G.SylowShape(G.SYLOW_OTHER, size)
+
+
+def assert_sylow_shapes_match(g):
+    for p in nt.factorize(g.order):
+        assert G.sylow_shape(g, p) == ref_sylow_shape(g, p), p
+
+
 @pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)
 def test_sylow_subgroup_is_closed_of_full_p_power(g):
-    for p, a in nt.factorize(g.order).items():
-        elems = G._sylow_subgroup(g, p)
-        assert elems.size == p**a
-        assert np.isin(g.table[np.ix_(elems, elems)], elems).all()
+    assert_sylow_shapes_match(g)
+
+
+def _sylow_groups():
+    """Groups with a generalized quaternion or a non-cyclic Sylow subgroup, each
+    also relabeled, so that the first involution is central in its Sylow
+    subgroup in some copies and not in others."""
+    specs = ("Q8", "Q32", "X:Q8*C3", "X:Q16*D3", "X:Q16*SD:7,3,2", "X:Q8*Q8", "X:Q8*C2",
+             "D4", "S4", "X:Q8*C3*C3")
+    base = [G.parse_group_spec(s) for s in specs] + [G.generalized_quaternion(2048)]
+    rng = np.random.default_rng(9)
+    return base + [G.relabeled(g, np.concatenate([[0], 1 + rng.permutation(g.order - 1)]))
+                   for g in base for _ in range(2)]
+
+
+@pytest.mark.parametrize("g", _sylow_groups(), ids=lambda g: g.label)
+def test_sylow_shape_matches_subgroup_reference(g):
+    assert_sylow_shapes_match(g)
 
 
 @pytest.mark.parametrize("spec", ["C2048", "D1024", "SD:1023,2,1022", "SD:241,8,8", "X:C8*D64"])
@@ -590,6 +656,22 @@ def test_cyclic_table_matches_outer_sum(n):
     table = G.cyclic(n).table
     assert table.dtype == np.int32 and table.flags.c_contiguous
     assert table.tobytes() == ref.tobytes()
+
+
+def ref_alternating_table(m):
+    """The even permutations (by inversion count) in lexicographic order,
+    a * b mapping x to a[b[x]]."""
+    perms = [p for p in itertools.permutations(range(m))
+             if sum(p[i] > p[j] for i in range(m) for j in range(i + 1, m)) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(a[x] for x in b)] for b in perms] for a in perms], dtype=np.int32)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_alternating_table_matches_parity_filter(m):
+    g = G.alternating(m)
+    assert g.label == f"A{m}" and g.table.dtype == np.int32
+    assert g.table.tobytes() == ref_alternating_table(m).tobytes()
 
 
 # ---------------------------------------------------------------------------
