@@ -232,12 +232,12 @@ def verify_beckmann(cover: KummerCover, t0, p: int) -> SpecializationReport:
 
 
 def sample_points(cover: KummerCover, prime_bound: int, samples: int, seed: int):
-    """Deterministic (t0, p) sample stream: p uniform over non-exceptional
-    primes <= bound, t0 a reduced rational with a controlled p-power factor so
-    both meeting and non-meeting specializations occur."""
-    primes = [
-        int(p) for p in numtheory.primes_upto(prime_bound) if not cover.is_exceptional(int(p))
-    ]
+    """Deterministic (t0, p) sample stream: p uniform over the primes <= bound
+    that do not divide exceptional_primes_divide(), and t0 = +-num/den * p^j,
+    one reduced Fraction with num, den prime to p and -3 <= j <= 3, so both
+    meeting and non-meeting specializations occur."""
+    bad = cover.exceptional_primes_divide()
+    primes = [p for p in numtheory.primes_upto(prime_bound).tolist() if bad % p]
     if not primes:
         raise ValueError("no non-exceptional primes below the bound")
     rng = random.Random(seed)
@@ -252,7 +252,7 @@ def sample_points(cover: KummerCover, prime_bound: int, samples: int, seed: int)
             den //= p
         sign = rng.choice((1, -1))
         j = rng.randint(-3, 3)
-        t0 = Fraction(sign * num, den) * Fraction(p) ** j
+        t0 = Fraction(sign * num * p ** max(j, 0), den * p ** max(-j, 0))
         out.append((t0, p))
     return out
 

@@ -326,14 +326,11 @@ def generalized_quaternion(order: int) -> FiniteGroup:
 
 
 def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
-    perms = sorted(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            table[a, b] = index[tuple(pa[x] for x in pb)]
-    return FiniteGroup(table, label=label, validate=False)
+    """Elements in sorted order; a*b is x -> a(b(x)), ranked by its base-m code,
+    which sorts as the permutation tuples do."""
+    p = np.array(sorted(perms), dtype=np.int8)
+    weights = len(p[0]) ** np.arange(len(p[0]) - 1, -1, -1, dtype=np.int64)
+    return FiniteGroup(np.searchsorted(p @ weights, p[:, p] @ weights), label=label, validate=False)
 
 
 def symmetric(m: int) -> FiniteGroup:

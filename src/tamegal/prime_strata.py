@@ -95,7 +95,7 @@ def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:
     return PrimeStratum(
         d=d,
         e=e,
-        primes=[int(p) for p in members],
+        primes=members.tolist(),
         bound=bound,
         empirical_density=emp,
         predicted_density=predicted_stratum_density(d, e),
@@ -120,7 +120,7 @@ def lemma32_prime_set(q: int, r: int, bound: int) -> list[int]:
         raise ValueError("q and r must be distinct")
     primes = numtheory.primes_upto(bound)
     members = primes[(primes % r == 1) & (primes % q != 1)]
-    out = [int(p) for p in members]
+    out = members.tolist()
     if not out:
         raise ValueError(
             f"no primes = 1 mod {r}, != 1 mod {q} below {bound}; raise the bound"

@@ -167,6 +167,60 @@ def test_negative_specialization_points():
     assert any(r.t0 < 0 for r in reports)
 
 
+def ref_sample_points(cover, prime_bound, samples, seed):
+    """The stream as first written: a per-prime is_exceptional filter and t0
+    built as a product of Fractions."""
+    primes = [
+        int(p) for p in nt.primes_upto(prime_bound) if not cover.is_exceptional(int(p))
+    ]
+    if not primes:
+        raise ValueError("no non-exceptional primes below the bound")
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        p = rng.choice(primes)
+        num = rng.randint(1, 999)
+        den = rng.randint(1, 999)
+        while num % p == 0:
+            num //= p
+        while den % p == 0:
+            den //= p
+        sign = rng.choice((1, -1))
+        j = rng.randint(-3, 3)
+        t0 = Fraction(sign * num, den) * Fraction(p) ** j
+        out.append((t0, p))
+    return out
+
+
+# the kummer-sweep and large-modulus benchmark covers at their prime bounds,
+# plus two with a non-integral c
+_SAMPLED_COVERS = (
+    [(f"d={d},m=1,c=1", 10**6) for d in (2, 3, 4, 5, 6, 9, 27)]
+    + [(s, 10**6) for s in ("d=12,m=4,c=5", "d=27,m=3,c=2/7", "d=60,m=6,c=3")]
+    + [(f"d={d},m=1,c=1", 10**5) for d in (1009, 2003, 4001, 9973)]
+    + [("d=6,m=1,c=2/7", 10**4), ("d=5,m=2,c=-5/3", 10**4)]
+)
+
+
+@pytest.mark.parametrize("spec,bound", _SAMPLED_COVERS)
+def test_sample_points_matches_per_prime_filter(spec, bound):
+    cover = cv.parse_cover_spec(spec)
+    for seed in (0, 17, 1_000_003 * 101 + 9):
+        got = cv.sample_points(cover, bound, 400, seed)
+        want = ref_sample_points(cover, bound, 400, seed)
+        assert got == want
+        assert all(type(p) is int for _, p in got)
+        assert [str(t0) for t0, _ in got] == [str(t0) for t0, _ in want]
+
+
+@pytest.mark.parametrize("spec,bound", [("d=6,m=1,c=5/7", 10), ("d=2,m=3,c=-5/3", 6), ("d=3,m=1,c=1", 1)])
+def test_sample_points_refuses_when_every_prime_is_exceptional(spec, bound):
+    cover = cv.parse_cover_spec(spec)
+    for sampler in (cv.sample_points, ref_sample_points):
+        with pytest.raises(ValueError, match="no non-exceptional primes"):
+            sampler(cover, bound, 5, 0)
+
+
 def test_sweep_determinism():
     cover = cv.KummerCover(3, 1, Fraction(1))
     r1, s1 = cv.sweep(cover, 1000, 50, seed=9)

@@ -674,6 +674,26 @@ def test_alternating_table_matches_parity_filter(m):
     assert g.table.tobytes() == ref_alternating_table(m).tobytes()
 
 
+def ref_perm_group_table(perms):
+    """The Cayley table filled one product at a time: sorted permutations,
+    a * b mapping x to a[b[x]], looked up in a tuple index."""
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+    table = np.empty((n, n), dtype=np.int64)
+    for a, pa in enumerate(perms):
+        for b, pb in enumerate(perms):
+            table[a, b] = index[tuple(pa[x] for x in pb)]
+    return table.astype(np.int32)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_symmetric_table_matches_product_loop(m):
+    g = G.symmetric(m)
+    assert g.label == f"S{m}" and g.table.dtype == np.int32 and g.table.flags.c_contiguous
+    assert g.table.tobytes() == ref_perm_group_table(itertools.permutations(range(m))).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # JSON table files against the reader they replaced
 
