@@ -197,12 +197,13 @@ class FiniteGroup:
         return int(self.orders[g])
 
     def cyclic_subgroup(self, g: int) -> np.ndarray:
+        """g^0, g^1, ..., g^(o-1) for o = ord(g), in that order."""
         o = int(self.orders[g])
         pw = np.zeros(1, dtype=np.int64)
         while pw.size < o:
             # g^0..g^(k-1) times g^k gives g^k..g^(2k-1)
             pw = np.concatenate([pw, self.table[pw, self.table[pw[-1], g]]])
-        return np.sort(pw[:o])
+        return pw[:o]
 
     def subgroup_closure(self, gens) -> np.ndarray:
         """Smallest subgroup containing gens, as a sorted index array.
@@ -690,7 +691,7 @@ def frobenius_cyclic_decomposition(g: FiniteGroup) -> FrobeniusDecomposition | N
         if k_elems.size != P or not (orders[k_elems] == P).any() or not h_gens.size:
             continue
         h_elems = g.cyclic_subgroup(int(h_gens[0]))
-        k_nontriv, h_nontriv = k_elems[1:], h_elems[1:]  # both sorted, 0 first
+        k_nontriv, h_nontriv = k_elems[1:], h_elems[1:]  # both start at 0
         kh = g.table[np.ix_(k_nontriv, h_nontriv)]
         hk = g.table[np.ix_(h_nontriv, k_nontriv)]
         if not (kh == hk.T).any():
@@ -698,7 +699,7 @@ def frobenius_cyclic_decomposition(g: FiniteGroup) -> FrobeniusDecomposition | N
                 P=int(P),
                 Q=int(Q),
                 kernel=tuple(int(x) for x in k_elems),
-                complement=tuple(int(x) for x in h_elems),
+                complement=tuple(sorted(h_elems.tolist())),
             )
     return None
 
@@ -758,7 +759,8 @@ def classify(g: FiniteGroup) -> ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing (brute-force generator images; meant for small orders)
+# isomorphism testing by generator images: no production path calls it; it is
+# the tests' reference, and perfbench/spans.py traces is_isomorphic by name
 
 
 def _fingerprint(g: FiniteGroup):

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numtheory
-from .groups import FiniteGroup, is_isomorphic, parse_group_spec
+from .groups import FiniteGroup, parse_group_spec
 from .padic_oracle import WildRamificationError
 
 
@@ -235,21 +235,28 @@ class GrunwaldFeasibility:
         }
 
 
+def _relation_exponents(x: FiniteGroup, q: int, e: int, f: int):
+    """Yield, for each tame pair (sigma, tau) of X at q with ord(tau) = e and
+    |<sigma, tau>| = e*f, the a in [0, e) with sigma^f = tau^a."""
+    log = np.zeros(x.order, dtype=np.int64)
+    for tau, sigmas in _tame_pairs(x, q, np.flatnonzero(x.orders == e).tolist(), e * f):
+        log[x.cyclic_subgroup(tau)] = np.arange(e)
+        yield from log[x.powers(f, sigmas)].tolist()
+
+
 def _problem_feasible(g: FiniteGroup, spec: LocalExtensionSpec) -> bool:
-    total = spec.e * spec.f
-    if g.order % total:
+    """Whether G has a tame pair at p spanning some D of order e*f, with D
+    isomorphic to H if H is given.  D = <sigma, tau> satisfies the relations
+    of P_a = <tau, sigma | tau^e, sigma^-1 tau sigma = tau^q, sigma^f = tau^a>
+    for one a, and P_a has at most e*f elements tau^i sigma^j.  By von Dyck's
+    theorem, H is isomorphic to D iff |H| = e*f and H has a pair at q with
+    the same a (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, on presentations)."""
+    e, f, h = spec.e, spec.f, spec.group_spec
+    if g.order % (e * f) or h is not None and h.order != e * f:
         return False
-    taus = np.flatnonzero(g.orders == spec.e).tolist()
-    for tau, sigmas in _tame_pairs(g, spec.p, taus, total):
-        if spec.group_spec is None:
-            return True
-        inertia = g.cyclic_subgroup(tau)
-        for sigma in sigmas.tolist():
-            # <sigma, tau> = {tau^i sigma^j}
-            d = g.table[inertia[:, None], g.cyclic_subgroup(sigma)]
-            if is_isomorphic(g.subgroup(d.ravel()), spec.group_spec):
-                return True
-    return False
+    wanted = None if h is None else set(_relation_exponents(h, spec.p, e, f))
+    return any(wanted is None or a in wanted for a in _relation_exponents(g, spec.p, e, f))
 
 
 def grunwald_feasible(
@@ -259,7 +266,8 @@ def grunwald_feasible(
 
     A problem (p, e, f) is feasible when some subgroup D of G is generated by
     a tame pair over p whose inertia has order e and whose sigma-image has
-    order f in D/<tau>; equivalently |D| = e*f.  The overall answer is the
+    order f in D/<tau>; equivalently |D| = e*f.  A prescribed D must match
+    by its presentation (see _problem_feasible).  The overall answer is the
     conjunction, one prime at a time.  Wild problems (p | e) raise.
     """
     for spec in problems:

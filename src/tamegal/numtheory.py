@@ -99,15 +99,19 @@ def _pollard_brent(n: int) -> int:
 @functools.lru_cache(maxsize=1 << 18)
 def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
+    rest = n
     for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
+        while rest % p == 0:
             out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
+            rest //= p
+    stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
+        if m >= _PSI[-1] and math.gcd(m, _MR_BASES_PRODUCT) == 1:  # is_prime refuses m
+            raise ValueError(f"{n} cannot be factored: its cofactor {m} >= psi_13 = "
+                             f"{_PSI[-1]} has no prime factor below 43")
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -118,7 +122,8 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}.
+    """Prime factorization of n >= 1 as {prime: exponent}.  A cofactor of n
+    at or above psi_13 with no prime factor below 43 is refused.
 
     Memoized underneath; group-theoretic callers hit the same small orders
     constantly.

@@ -85,6 +85,8 @@ def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:
     d, e, bound = int(d), int(e), int(bound)
     if d < 1 or e < 1 or d % e:
         raise ValueError(f"e={e} must divide d={d}")
+    if d >= 2**63:
+        raise ValueError(f"d={d} must be below 2^63, the range of the sieve's int64 primes")
     primes = numtheory.primes_upto(bound)
     primes = primes[primes > 2]
     primes = primes[d % primes != 0] if d > 1 else primes
@@ -114,6 +116,8 @@ def lemma32_prime_set(q: int, r: int, bound: int) -> list[int]:
     q, r, bound = int(q), int(r), int(bound)
     if q == 2:
         raise ValueError("q = 2 rejected: the non-split condition is vacuous for odd primes")
+    if max(q, r) >= 2**63:
+        raise ValueError("q and r must be below 2^63, the range of the sieve's int64 primes")
     if not numtheory.is_prime(q) or not numtheory.is_prime(r):
         raise ValueError("q and r must be primes")
     if q == r:

@@ -208,6 +208,25 @@ def test_oracle_refuses_strong_pseudoprime(capsys):
     assert "is not prime" in err
 
 
+def test_oracle_refuses_unfactorable_modulus(capsys):
+    # d = 300000000001220000000000407 >= psi_13 has no prime factor below 43
+    code, out, err = run_cli(capsys, "oracle", "--p", "7", "--d", "300000000001220000000000407",
+                             "--v", "1", "--w", "1")
+    assert code == 1 and out == ""
+    assert "300000000001220000000000407 cannot be factored" in err
+    assert "primality" not in err and "Traceback" not in err
+
+
+def test_strata_and_lemma32_refuse_moduli_beyond_int64(capsys):
+    big = str(2**63 + 29)
+    for argv in (["strata", big, "1"], ["lemma32-set", "3", big], ["lemma32-set", big, "3"]):
+        code, out, err = run_cli(capsys, *argv, "--bound", "100")
+        assert code == 1 and out == "", argv
+        assert "below 2^63" in err and "Traceback" not in err, argv
+    code, out, _ = run_cli(capsys, "strata", str(2**63 - 2), "1", "--bound", "100")
+    assert code == 0 and last_json(out)["result"]["count"] == 0
+
+
 def test_global_flags_both_positions(capsys):
     _, out1, _ = run_cli(capsys, "--seed", "3", "verify-beckmann", "d=3,m=1,c=1",
                          "--primes", "1000", "--samples", "5", "--quiet")
@@ -231,7 +250,8 @@ def test_console_entry_point_subprocess():
 # sha256 of stdout for every command in the README's CLI block and for
 # relabeled JSON tables of orders 244 and 1024, recorded before table
 # validation became exact (verify-beckmann: after its inputs lost "threads"
-# and its summary lost the "stratum_law" subreport).
+# and its summary lost the "stratum_law" subreport; grunwald SD:13,3,3 while
+# D= was decided by an isomorphism search).
 STDOUT_SHA256 = {
     "classify SD:7,3,2": "6c09760bebbfd538311f9d6006f18de9f17179a04f1a439ca750c210e4f6aa80",
     "obstructions X:C2*C2": "98190fd1ea527b26617727b18413309e96a1edb06eb5dc3ca3796000f52386be",
@@ -239,6 +259,8 @@ STDOUT_SHA256 = {
     "tame-pairs Q8 3": "d4e0ab7bd1215ac6024ce3d1b32e78d24d3e1894ee844f8b1705bbaafa901515",
     "grunwald S3 --at 7,3,1 --at 11,1,2":
         "67f08ecf8b3712777bd9cf193ff4631bc374de166319dabd325b965699e6730a",
+    "grunwald SD:13,3,3 --at p=3,e=13,f=3,D=SD:13,3,9 --at p=3,e=13,f=3,D=C39":
+        "be58dd121491b2ae648d7929221f110979eafd75fd0918e6c27931bfd2f9c8fa",
     "specialize d=9,m=1,c=1 --t0 7 --p 7":
         "41a99876bb1557929adde9ad12a094b504408abb2c62f9b1205f5fccee3a09f7",
     "verify-beckmann d=3,m=1,c=1 --primes 10000 --samples 200 --seed 1":

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -321,13 +323,29 @@ def test_residue_degree_matches_closure_on_non_generating_pairs(spec):
             assert pair.residue_degree * pair.inertia_order == size, (spec, q, sigma, tau)
 
 
-GRUNWALD_GROUPS = ["S3", "D7", "Q8", "A4", "SD:7,3,2", "SD:13,3,3", "X:C2*C2"]
+GRUNWALD_GROUPS = ["S3", "D7", "Q8", "D4", "X:C4*C2", "A4", "SD:7,3,2", "SD:13,3,3", "X:C2*C2"]
+
+# Q8, D4, C4 x C2 and C8 have equal orders and are pairwise non-isomorphic, as
+# are SD:13,3,3 and C39; SD:13,3,9 is isomorphic to SD:13,3,3, with its pairs
+# at q = 3 in another exponent a of sigma^f = tau^a.
+DECOMPOSITION_GROUPS = ["Q8", "D4", "X:C4*C2", "C8", "SD:13,3,3", "SD:13,3,9", "C39"]
 
 
 def _decomposition_candidates(m):
-    specs = [f"C{m}"] + ([f"D{m // 2}"] if m % 2 == 0 and m >= 4 else [])
-    specs += [s for s in GRUNWALD_GROUPS if G.parse_group_spec(s).order == m]
-    return [G.parse_group_spec(s) for s in specs]
+    specs = {f"C{m}"} | ({f"D{m // 2}"} if m % 2 == 0 and m >= 4 else set())
+    specs |= {s for s in GRUNWALD_GROUPS + DECOMPOSITION_GROUPS if G.parse_group_spec(s).order == m}
+    out = []
+    for spec in sorted(specs):
+        h = G.parse_group_spec(spec)
+        out += [h, _relabeled(h)]
+    return out
+
+
+def _relabeled(h):
+    """h with its non-identity elements shuffled, seeded by its order."""
+    rest = list(range(1, h.order))
+    random.Random(h.order).shuffle(rest)
+    return G.relabeled(h, [0] + rest)
 
 
 @pytest.mark.parametrize("spec", GRUNWALD_GROUPS)
@@ -346,6 +364,23 @@ def test_grunwald_matches_closure_reference(spec):
     rep = lt.grunwald_feasible(g, problems)
     assert rep.feasible == [closure_problem_feasible(g, s) for s in problems]
     assert any(rep.feasible) and not all(rep.feasible)
+
+
+@pytest.mark.parametrize("spec,at", [
+    ("C2048", (2, 1, 2048)),
+    ("SD:241,8,8", (1213, 241, 8)),
+    ("SD:127,14,2", (2, 127, 14)),
+    ("SD:1021,2,1020", (8167, 1021, 2)),
+    ("SD:97,16,8", (79, 97, 16)),
+    ("SD:31,30,3", (3, 31, 30)),
+])
+def test_grunwald_whole_group_as_decomposition_group(spec, at):
+    # an isomorphism search took 3-15 s on each of these
+    g = G.parse_group_spec(spec)
+    start = time.perf_counter()
+    rep = lt.grunwald_feasible(g, [lt.LocalExtensionSpec(*at, _relabeled(g))])
+    assert rep.feasible == [True]
+    assert time.perf_counter() - start < 5
 
 
 # sum-of-two-squares criterion

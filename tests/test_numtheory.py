@@ -53,6 +53,17 @@ def test_is_prime_refuses_beyond_psi_13():
     assert nt.is_prime(PSI_13 - 1) is False
 
 
+def test_factorize_refuses_unfactorable_cofactor():
+    with pytest.raises(ValueError, match=f"^{2**89 - 1} cannot be factored: its cofactor {2**89 - 1} "):
+        nt.factorize(2**89 - 1)
+    with pytest.raises(ValueError, match=f"^{48 * (2**89 - 1)} cannot be factored: its cofactor {2**89 - 1} "):
+        nt.factorize(48 * (2**89 - 1))
+    # Pollard rho splits off 41, and the cofactor psi_13 is refused
+    with pytest.raises(ValueError, match=f"its cofactor {PSI_13} >= psi_13"):
+        nt.factorize(PSI_13 * 41)
+    assert nt.factorize(3 * 2**90) == {2: 90, 3: 1}  # above psi_13, no cofactor left
+
+
 def _is_prime_by_trial_division(n):
     """Reference: no divisor in 2..isqrt(n)."""
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
