@@ -18,7 +18,7 @@ import traceback
 from fractions import Fraction
 
 from . import __version__
-from .covers import parse_cover_spec, predict_specialization, sweep
+from .covers import SAMPLE_CAP, parse_cover_spec, predict_specialization, sweep
 from .groups import classify, detect_obstructions, parse_group_spec
 from .local_tame import (
     c4_embeddable_quadratic,
@@ -29,6 +29,7 @@ from .local_tame import (
     load_local_spec_batch,
     parse_local_spec,
 )
+from .numtheory import SIEVE_CAP
 from .padic_oracle import kummer_local_invariants
 from .prime_strata import biquadratic_split, enumerate_stratum, lemma32_prime_set
 
@@ -117,8 +118,8 @@ def build_parser() -> _Parser:
 
     p = add("verify-beckmann", help="seeded predictor-vs-oracle sweep")
     p.add_argument("cover")
-    p.add_argument("--primes", type=int, default=10000, help="prime bound")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--primes", type=int, default=10000, help=f"prime bound, at most {SIEVE_CAP}")
+    p.add_argument("--samples", type=int, default=200, help=f"sample count, at most {SAMPLE_CAP}")
     p.add_argument("--quiet", action="store_true", help="summary only, no per-sample lines")
 
     p = add("oracle", help="splitting-field invariants of X^d - p^v*w")
@@ -134,7 +135,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("d", type=int)
     p.add_argument("e", type=int)
-    p.add_argument("--bound", type=int, default=10000)
+    p.add_argument("--bound", type=int, default=10000, help=f"prime bound, at most {SIEVE_CAP}")
 
     p = add(
         "lemma32-set",
@@ -144,7 +145,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("q", type=int)
     p.add_argument("r", type=int)
-    p.add_argument("--bound", type=int, default=1000)
+    p.add_argument("--bound", type=int, default=1000, help=f"prime bound, at most {SIEVE_CAP}")
 
     p = add("biquad-split", help="quadratic subfields in which p splits")
     p.add_argument("a", type=int)

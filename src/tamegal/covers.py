@@ -25,6 +25,9 @@ from fractions import Fraction
 from . import numtheory
 from .padic_oracle import KummerLocalInvariants, kummer_local_invariants
 
+# sample_points builds a list of this many points at most
+SAMPLE_CAP = 10**6
+
 ZERO = "zero"
 INFINITY = "infinity"
 
@@ -235,7 +238,10 @@ def sample_points(cover: KummerCover, prime_bound: int, samples: int, seed: int)
     """Deterministic (t0, p) sample stream: p uniform over the primes <= bound
     that do not divide exceptional_primes_divide(), and t0 = +-num/den * p^j,
     one reduced Fraction with num, den prime to p and -3 <= j <= 3, so both
-    meeting and non-meeting specializations occur."""
+    meeting and non-meeting specializations occur.  At most SAMPLE_CAP
+    samples, and the prime bound is at most numtheory.SIEVE_CAP."""
+    if samples > SAMPLE_CAP:
+        raise ValueError(f"{samples} samples is above the sample cap {SAMPLE_CAP}")
     bad = cover.exceptional_primes_divide()
     primes = [p for p in numtheory.primes_upto(prime_bound).tolist() if bad % p]
     if not primes:

@@ -24,7 +24,11 @@ Any group can also come from a JSON file (see :func:`parse_group_spec`): an
 object whose "table" is a square array of arrays of non-negative JSON
 integers, and whose "order", if present, is an integer equal to the row
 count.  Other keys are ignored.  The table is read by whole-buffer byte
-passes straight into int32, without a Python int per entry.
+passes straight into int32, without a Python int per entry.  A validated
+table is decided exactly at every order (see :meth:`FiniteGroup.check_table`):
+entries in range, identity at 0, x^n = 1 for every x, and associativity by
+Light's test on a generating set make it a group's, so the Latin-square
+scan runs only to name the fault of a table that is refused.
 
 The three classification flags reported by :func:`classify`:
 
@@ -88,31 +92,40 @@ class FiniteGroup:
     # -- validation ---------------------------------------------------------
 
     def check_table(self):
-        """Latin square, two-sided identity at 0, associativity.
+        """Entries in range, two-sided identity at 0, x^n = 1 for every x,
+        and associativity: together these make the table a group's.
 
-        Associativity is exact by Light's test: (x*a)*y = x*(a*y) for every
-        a in a generating set implies it for every a, at O(n^2 log n) cost.
-        The generator choice reads element orders before associativity is
-        known; an element whose binary powers do not reach 0 by exponent n
-        already refutes associativity.
+        Associativity is exact by Light's test, at O(n^2 log n) cost.  The
+        elements a with (x*a)*y = x*(a*y) for all x, y form a submagma: for
+        two of them, a and b, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) =
+        x*(a*(b*y)) = x*((a*b)*y).  Every element is a product of the generators that
+        :func:`_greedy_generators` returns, so the test on those generators
+        covers every a.  An associative table with identity 0 is a monoid,
+        and a monoid in which x^n = 1 for every x is a group, x^(n-1) being
+        an inverse of x; :meth:`_power_data` refuses any x with x^n != 1
+        while it reads the orders that choose the generators.
+
+        A group's table is a Latin square, so the Latin-square scan (two n x n
+        boolean scatters) can never fail on an accepted table.  It runs only
+        after one of the checks above has refused the table, to name the
+        fault: a table that is no Latin square is refused as such, whichever
+        check caught it.
         """
         t, n = self.table, self.order
         if t.min() < 0 or t.max() >= n:
             raise GroupError("table entries out of range")
         ar = np.arange(n)
-        seen = np.zeros((n, n), dtype=bool)
-        for lines in (t, t.T):
-            # seen[i, x]: x occurs in line i (a row of t, then a column of t)
-            seen[:] = False
-            seen[ar[:, None], lines] = True
-            if not seen.all():
-                raise GroupError("table rows/columns are not permutations")
-        if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
-            raise GroupError("element 0 is not a two-sided identity")
-        for a in _greedy_generators(self):
-            # (x*a)*y against x*(a*y); take() gathers columns faster than t[:, idx]
-            if not (t[t[:, a]] == t.take(t[a], axis=1)).all():
-                raise GroupError("associativity fails")
+        try:
+            if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
+                raise GroupError("element 0 is not a two-sided identity")
+            for a in _greedy_generators(self):
+                # (x*a)*y against x*(a*y); take() gathers columns faster than t[:, idx]
+                if not (t[t[:, a]] == t.take(t[a], axis=1)).all():
+                    raise GroupError("associativity fails")
+        except GroupError:
+            if not _is_latin_square(t):
+                raise GroupError("table rows/columns are not permutations") from None
+            raise
 
     # -- cached structure ---------------------------------------------------
 
@@ -252,6 +265,20 @@ class FiniteGroup:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
+def _is_latin_square(t: np.ndarray) -> bool:
+    """Whether every row and every column of t is a permutation of 0..n-1."""
+    n = len(t)
+    ar = np.arange(n)
+    seen = np.zeros((n, n), dtype=bool)
+    for lines in (t, t.T):
+        # seen[i, x]: x occurs in line i (a row of t, then a column of t)
+        seen[:] = False
+        seen[ar[:, None], lines] = True
+        if not seen.all():
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -376,11 +403,23 @@ def relabeled(g: FiniteGroup, perm) -> FiniteGroup:
 
 _JSON_DECODER = json.JSONDecoder()
 _JSON_WS = re.compile(r"[ \t\n\r]*")
-# Rows of a valid table hold no brackets, so the first "]" that is followed,
-# across whitespace, by a second "]" closes the table.
-_TABLE_END = re.compile(r"\][ \t\n\r]*\]")
-_DIGIT_MASK = bytes(48 <= c <= 57 for c in range(256))
 _NOT_A_TABLE = "'table' must be an array of arrays of non-negative integers"
+
+
+def _table_end(text: str, pos: int) -> int:
+    """The offset just past the table that starts at text[pos].  Rows of a
+    valid table hold no brackets, so the first "]" that is followed, across
+    whitespace, by a second "]" closes the table, and it is at most the
+    ORDER_CAP-th "]": str.find walks at most that many."""
+    close = pos
+    for _ in range(ORDER_CAP):
+        close = text.find("]", close)
+        if close < 0:
+            raise GroupError(_NOT_A_TABLE)
+        close = _JSON_WS.match(text, close + 1).end()
+        if text.startswith("]", close):
+            return close + 1
+    raise GroupError(f"table has more than {ORDER_CAP} rows")
 
 
 def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
@@ -390,21 +429,19 @@ def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
     Whole-buffer byte passes stand in for a JSON parse, so no Python int is
     built per entry.  With whitespace dropped the table must read
     "[[" row "],[" ... "],[" row "]]", each row n tokens of digits between
-    n - 1 commas.  Digit runs before the drop must be the n^2 tokens (no
-    whitespace inside a number), and the parsed values must account for every
-    digit (no leading zero, no number that wrapped in int32).
+    n - 1 commas; ``np.fromstring`` parses the rows joined by commas.  The
+    digit runs of the raw bytes, found by one uint8 compare, must be the n^2
+    tokens (no whitespace inside a number), and the parsed values must
+    account for every digit (no leading zero, no number that wrapped in
+    int32).
     """
-    end = _TABLE_END.search(text, pos)
-    if end is None:
-        raise GroupError(_NOT_A_TABLE)
-    raw = text[pos:end.end()].encode()
+    end = _table_end(text, pos)
+    raw = text[pos:end].encode()
     s = raw.translate(None, b" \t\n\r")
     if s[:2] != b"[[":
         raise GroupError(_NOT_A_TABLE)
-    rows = s[2:-2].split(b"],[", ORDER_CAP)
+    rows = s[2:-2].split(b"],[")  # at most ORDER_CAP: _table_end saw every "]"
     n = len(rows)
-    if n > ORDER_CAP:
-        raise GroupError(f"table has more than {ORDER_CAP} rows")
     flat = b",".join(rows)
     if flat.translate(None, b"0123456789,"):
         raise GroupError(_NOT_A_TABLE)
@@ -414,8 +451,9 @@ def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
         values = np.fromstring(flat, dtype=np.int32, sep=",")
     except ValueError as exc:  # an empty token: ",," or a comma at a row end
         raise GroupError(_NOT_A_TABLE) from exc
-    # as many digit runs before whitespace was dropped, or "1 2" was read as 12
-    digit = np.frombuffer(raw.translate(_DIGIT_MASK), dtype=bool)
+    # as many digit runs before whitespace was dropped, or "1 2" was read as 12;
+    # a byte below "0" wraps around in uint8, so one compare finds the digits
+    digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(48) < 10
     if values.size != n * n or np.count_nonzero(digit[1:] > digit[:-1]) != n * n:
         raise GroupError(_NOT_A_TABLE)
     if values.min() < 0 or values.max() >= n:
@@ -425,7 +463,7 @@ def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
     )
     if digits != len(flat) - (n * n - 1):
         raise GroupError(_NOT_A_TABLE)
-    return values.reshape(n, n), end.end()
+    return values.reshape(n, n), end
 
 
 def _read_table_file(path: str) -> FiniteGroup:

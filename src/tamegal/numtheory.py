@@ -18,6 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
+# primes_upto allocates limit + 1 bytes, so it refuses a limit above this
+SIEVE_CAP = 10**7
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BASES_PRODUCT = math.prod(_MR_BASES)
 # psi_k for k = 1..13 (OEIS A014233): below psi_k the first k bases decide.
@@ -39,7 +42,10 @@ _PSI = (
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (simple numpy sieve)."""
+    """All primes <= limit as an int64 array (simple numpy sieve), for a
+    limit up to SIEVE_CAP."""
+    if limit > SIEVE_CAP:
+        raise ValueError(f"prime bound {limit} is above the sieve cap {SIEVE_CAP}")
     if limit < 2:
         return np.array([], dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)

@@ -7,7 +7,9 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
+import pytest
 
 from tamegal import cli, groups
 
@@ -225,6 +227,20 @@ def test_strata_and_lemma32_refuse_moduli_beyond_int64(capsys):
         assert "below 2^63" in err and "Traceback" not in err, argv
     code, out, _ = run_cli(capsys, "strata", str(2**63 - 2), "1", "--bound", "100")
     assert code == 0 and last_json(out)["result"]["count"] == 0
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["strata", "9", "3", "--bound", str(10**18)], "sieve cap 10000000"),
+    (["lemma32-set", "3", "5", "--bound", str(10**18)], "sieve cap 10000000"),
+    (["verify-beckmann", "d=3,m=1,c=1", "--primes", str(10**18)], "sieve cap 10000000"),
+    (["verify-beckmann", "d=3,m=1,c=1", "--samples", str(10**18)], "sample cap 1000000"),
+], ids=["strata-bound", "lemma32-bound", "primes", "samples"])
+def test_sieve_and_sample_sizes_above_the_cap_exit_1(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert cap in err and "Traceback" not in err
 
 
 def test_global_flags_both_positions(capsys):

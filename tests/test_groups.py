@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +172,172 @@ def test_table_validation_checks_columns():
         G.FiniteGroup(t)
     with pytest.raises(G.GroupError, match="permutations"):
         G.FiniteGroup(np.array(t).T)
+
+
+# ---------------------------------------------------------------------------
+# table validation: the group axioms decide, the Latin scan names a refusal
+
+
+def ref_check_table(table):
+    """Table validation in its earlier order: the Latin-square scan first,
+    then the identity at 0, then Light's test on the greedy generators."""
+    g = G.FiniteGroup(table, validate=False)
+    t, n = g.table, g.order
+    if t.min() < 0 or t.max() >= n:
+        raise G.GroupError("table entries out of range")
+    ar = np.arange(n)
+    seen = np.zeros((n, n), dtype=bool)
+    for lines in (t, t.T):
+        seen[:] = False
+        seen[ar[:, None], lines] = True
+        if not seen.all():
+            raise G.GroupError("table rows/columns are not permutations")
+    if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
+        raise G.GroupError("element 0 is not a two-sided identity")
+    for a in G._greedy_generators(g):
+        if not (t[t[:, a]] == t.take(t[a], axis=1)).all():
+            raise G.GroupError("associativity fails")
+
+
+def verdict(check, table):
+    """None if check accepts the table, else its GroupError message."""
+    try:
+        check(table)
+    except G.GroupError as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_verdict(table):
+    want = verdict(ref_check_table, table)
+    assert verdict(G.FiniteGroup, table) == want
+    return want
+
+
+def _with_identity(t):
+    """t with row 0 and column 0 those of an identity at 0."""
+    t = np.array(t)
+    t[0] = t[:, 0] = np.arange(len(t))
+    return t
+
+
+@st.composite
+def small_tables(draw):
+    """Entries drawn freely in range; an identity row and column in half."""
+    n = draw(st.integers(1, 8))
+    t = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    return _with_identity(t) if draw(st.booleans()) else np.array(t)
+
+
+@st.composite
+def row_latin_tables(draw):
+    """Every row a permutation, columns free; in half the draws row 0 and
+    column 0 are the identity's, each row still a permutation."""
+    n = draw(st.integers(1, 8))
+    t = np.array([draw(st.permutations(range(n))) for _ in range(n)])
+    if draw(st.booleans()):
+        t[0] = np.arange(n)
+        for i in range(1, n):
+            j = int(np.flatnonzero(t[i] == i)[0])
+            t[i, [0, j]] = t[i, [j, 0]]
+    return t
+
+
+@st.composite
+def relabeled_group_tables(draw):
+    """A group of TABLE_SPECS under any renaming, the identity's too."""
+    g = G.parse_group_spec(draw(st.sampled_from(TABLE_SPECS)))
+    perm = np.array(draw(st.permutations(range(g.order))))
+    inv = np.argsort(perm)
+    return perm[g.table[np.ix_(inv, inv)]]
+
+
+@st.composite
+def swapped_group_tables(draw):
+    """A relabeled group with one pair of entries swapped."""
+    t = draw(relabeled_group_tables()).copy()
+    i1, j1, i2, j2 = (draw(st.integers(0, len(t) - 1)) for _ in range(4))
+    t[i1, j1], t[i2, j2] = t[i2, j2], t[i1, j1]
+    return t
+
+
+@st.composite
+def flipped_group_tables(draw):
+    """A relabeled group with one 2x2 Latin subsquare off row and column 0
+    flipped, as in _flipped_d256: a Latin square with identity 0 that is
+    rarely a group.  Unchanged if the two drawn rows share no subsquare."""
+    t = np.array(draw(group_tables()))
+    if len(t) < 3:
+        return t
+    r1, r2 = draw(st.lists(st.integers(1, len(t) - 1), min_size=2, max_size=2, unique=True))
+    sigma = np.argsort(t[r2])[t[r1]]  # column of row r2 holding t[r1, c]
+    cols = [c for c in range(1, len(t)) if sigma[c] not in (0, c) and sigma[sigma[c]] == c]
+    if cols:
+        c = draw(st.sampled_from(cols))
+        t[np.ix_([r1, r2], [c, sigma[c]])] = t[np.ix_([r1, r2], [sigma[c], c])]
+    return t
+
+
+TABLE_FAMILIES = {
+    "small": small_tables, "row-latin": row_latin_tables,
+    "relabeled-group": relabeled_group_tables, "swapped-pair": swapped_group_tables,
+    "flipped-subsquare": flipped_group_tables,
+}
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_validation_verdicts_match_latin_first_order(family, data):
+    assert_same_verdict(data.draw(TABLE_FAMILIES[family]()))
+
+
+@pytest.mark.parametrize("table, want", [
+    (LOOP5, "associativity fails"),
+    (_flipped_d256(), "associativity fails"),
+    ([[0, 1], [1, 1]], "permutations"),  # a monoid that passes Light's test
+    ([[1, 0], [0, 1]], "identity"),
+    ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 1, 0]], "permutations"),
+    ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]], None),
+], ids=["loop5", "flipped-d256", "monoid", "identity-at-1", "column-repeat", "c4"])
+def test_validation_verdicts_on_named_tables(table, want):
+    got = assert_same_verdict(table)
+    assert got is None if want is None else want in got
+
+
+def test_bad_tables_at_the_order_cap_are_refused_in_bounded_time():
+    n = G.ORDER_CAP
+    ar = np.arange(n)
+
+    def elementary():  # C2^11: the most generators a group of order 2048 needs
+        return G.parse_group_spec("X:" + "*".join(["C2"] * 11)).table.copy()
+
+    def duplicated_row():
+        t = elementary()
+        t[7] = t[5]
+        return t
+
+    def noise_with_identity():
+        return _with_identity(np.random.default_rng(0).integers(0, n, (n, n)))
+
+    def column_pair_swapped():
+        t = elementary()
+        t[[3, 1000], 17] = t[[1000, 3], 17]
+        return t
+
+    def constant_block():
+        t = elementary()
+        t[512:1024, 512:1024] = 3
+        return t
+
+    spent = 0.0
+    for make in (duplicated_row, noise_with_identity, column_pair_swapped, constant_block):
+        table = make()
+        start = time.perf_counter()
+        with pytest.raises(G.GroupError, match="permutations"):
+            G.FiniteGroup(table)
+        spent += time.perf_counter() - start
+    assert spent < 5, spent
 
 
 def test_detect_obstructions_examples():
