@@ -2,10 +2,15 @@
 
 Every command prints a single JSON report object (sorted keys, no timestamps)
 so that identical inputs and seed produce byte-identical output; sweeps stream
-one JSON line per specialization report before the summary.  The seeded
-generator is CPython's random.Random (MT19937), which is stable across
-platforms.  Exit codes: 0 success / all checks agree, 1 usage error,
-2 verification failure, 3 internal defect (traceback on stderr).
+one JSON line per specialization report before the summary.  A report's
+"inputs" are every argument of its command except --csv, --quiet and --seed
+(the seed is a field of the report).  Under --csv, obstructions, tame-pairs,
+grunwald, strata and lemma32-set print CSV rows in place of the report,
+verify-beckmann prints a CSV row per sample before its summary, and the other
+commands print their report.  The seeded generator is CPython's random.Random
+(MT19937), which is stable across platforms.  Exit codes: 0 success / all
+checks agree, 1 usage error, 2 verification failure, 3 internal defect
+(traceback on stderr).
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import functools
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from . import __version__
 from .covers import SAMPLE_CAP, parse_cover_spec, predict_specialization, sweep
@@ -29,7 +33,7 @@ from .local_tame import (
     load_local_spec_batch,
     parse_local_spec,
 )
-from .numtheory import SIEVE_CAP
+from .numtheory import SIEVE_CAP, parse_rational
 from .padic_oracle import kummer_local_invariants
 from .prime_strata import biquadratic_split, enumerate_stratum, lemma32_prime_set
 
@@ -48,20 +52,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(command: str, inputs: dict, result, seed: int | None, csv_rows=None):
-    """Print the JSON report, or the CSV rows when given (only under --csv)."""
-    if csv_rows is not None:
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
-        return
+# parsed arguments that are not a command's inputs: the command, its handler,
+# the output flags, and the seed, which the report carries as its own field
+_NOT_INPUTS = ("cmd", "handler", "csv", "quiet", "seed")
+
+
+def _emit(args, result):
+    """Print the JSON report of the command args ran."""
     report = {
-        "command": command,
-        "inputs": inputs,
+        "command": args.cmd,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "result": result,
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
     }
     print(json.dumps(report, sort_keys=True))
+
+
+def _print_csv(rows):
+    for row in rows:
+        print(",".join(str(x) for x in row))
 
 
 def _global_flags() -> argparse.ArgumentParser:
@@ -81,6 +91,90 @@ def _global_flags() -> argparse.ArgumentParser:
     return common
 
 
+# Command handlers: each parses its inputs, calls the library and returns
+# (result, csv_rows), csv_rows a lazy iterable of rows or None when the
+# command has no CSV form.
+
+
+def _classify(args):
+    return classify(parse_group_spec(args.group)).as_dict(), None
+
+
+def _obstructions(args):
+    ws = detect_obstructions(parse_group_spec(args.group))
+    return [w.as_dict() for w in ws], ((w.kind, *w.witness) for w in ws)
+
+
+def _local_cyclic(args):
+    return {"exists": cyclic_tame_exists(args.q, args.d, args.e)}, None
+
+
+def _tame_pairs(args):
+    pairs = [p.as_dict() for p in enumerate_tame_pairs(parse_group_spec(args.group), args.q)]
+    columns = ("sigma", "tau", "inertia_order", "residue_degree")
+    return {"count": len(pairs), "pairs": pairs}, ([p[c] for c in columns] for p in pairs)
+
+
+def _grunwald(args):
+    g = parse_group_spec(args.group)
+    problems = [parse_local_spec(t) for t in args.at]
+    if args.batch:
+        problems += load_local_spec_batch(args.batch)
+    if not problems:
+        raise UsageError("grunwald needs at least one --at p,e,f or --batch file")
+    rep = grunwald_feasible(g, problems)
+    return rep.as_dict(), ((s.p, s.e, s.f, ok) for s, ok in zip(rep.problems, rep.feasible))
+
+
+def _specialize(args):
+    pred = predict_specialization(parse_cover_spec(args.cover), parse_rational(args.t0), args.p)
+    return {
+        "predicted_e": pred.predicted_e,
+        "predicted_f": pred.predicted_f,
+        "exceptional": pred.exceptional,
+        "intersection": {"point": pred.point, "multiplicity": pred.multiplicity},
+    }, None
+
+
+def _verify_beckmann(args):
+    """The summary is the report, after one line per sample: a CSV row under
+    --csv, none under --quiet, else the sample's JSON report."""
+    cover = parse_cover_spec(args.cover)
+    reports, summary = sweep(cover, args.primes, args.samples, seed=args.seed)
+    if args.csv:
+        columns = (
+            "t0", "p", "predicted_e", "predicted_f", "oracle_e", "oracle_f", "exceptional", "agree"
+        )
+        _print_csv([d[k] for k in columns] for d in (r.as_dict() for r in reports))
+    elif not args.quiet:
+        for r in reports:
+            print(r.to_json_line())
+    return summary, None
+
+
+def _oracle(args):
+    return kummer_local_invariants(args.p, args.d, args.v, args.w).as_dict(), None
+
+
+def _strata(args):
+    stratum = enumerate_stratum(args.d, args.e, args.bound)
+    return stratum.as_dict(), ((p,) for p in stratum.primes)
+
+
+def _lemma32_set(args):
+    primes = lemma32_prime_set(args.q, args.r, args.bound)
+    return {"count": len(primes), "primes": primes}, ((p,) for p in primes)
+
+
+def _biquad_split(args):
+    return {"split_subfields": sorted(biquadratic_split(args.a, args.b, args.p))}, None
+
+
+def _sum_two_squares(args):
+    a = parse_rational(args.a)
+    return {"embeddable": c4_embeddable_quadratic(a), "degenerate": is_rational_square(a)}, None
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The CLI parser, built on the first call and shared by later ones."""
@@ -88,41 +182,43 @@ def build_parser() -> _Parser:
     parser.set_defaults(csv=False, seed=0)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[_global_flags()], **kwargs)
+    def add(name, handler, **kwargs):
+        p = sub.add_parser(name, parents=[_global_flags()], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add("classify", help="eligibility report for a group spec")
+    p = add("classify", _classify, help="eligibility report for a group spec")
     p.add_argument("group")
 
-    p = add("obstructions", help="obstruction witnesses for a group spec")
+    p = add("obstructions", _obstructions, help="obstruction witnesses for a group spec")
     p.add_argument("group")
 
-    p = add("local-cyclic", help="existence of a tame cyclic local extension")
+    p = add("local-cyclic", _local_cyclic, help="existence of a tame cyclic local extension")
     p.add_argument("q", type=int)
     p.add_argument("d", type=int)
     p.add_argument("e", type=int)
 
-    p = add("tame-pairs", help="all tame generating pairs of G at q")
+    p = add("tame-pairs", _tame_pairs, help="all tame generating pairs of G at q")
     p.add_argument("group")
     p.add_argument("q", type=int)
 
-    p = add("grunwald", help="local feasibility of prescribed (p,e,f) data")
+    p = add("grunwald", _grunwald, help="local feasibility of prescribed (p,e,f) data")
     p.add_argument("group")
     p.add_argument("--at", action="append", default=[], help="p,e,f (repeatable)")
     p.add_argument("--batch", help="JSON file with an array of local specs")
 
-    p = add("specialize", help="predicted local invariants of a specialization")
+    p = add("specialize", _specialize, help="predicted local invariants of a specialization")
     p.add_argument("cover")
     p.add_argument("--t0", required=True)
     p.add_argument("--p", dest="p", type=int, required=True)
 
-    p = add("verify-beckmann", help="seeded predictor-vs-oracle sweep")
+    p = add("verify-beckmann", _verify_beckmann, help="seeded predictor-vs-oracle sweep")
     p.add_argument("cover")
     p.add_argument("--primes", type=int, default=10000, help=f"prime bound, at most {SIEVE_CAP}")
     p.add_argument("--samples", type=int, default=200, help=f"sample count, at most {SAMPLE_CAP}")
     p.add_argument("--quiet", action="store_true", help="summary only, no per-sample lines")
 
-    p = add("oracle", help="splitting-field invariants of X^d - p^v*w")
+    p = add("oracle", _oracle, help="splitting-field invariants of X^d - p^v*w")
     p.add_argument("--p", dest="p", type=int, required=True)
     p.add_argument("--d", dest="d", type=int, required=True)
     p.add_argument("--v", dest="v", type=int, required=True)
@@ -130,6 +226,7 @@ def build_parser() -> _Parser:
 
     p = add(
         "strata",
+        _strata,
         help="the stratum of primes p <= bound with gcd(d, p-1) = e; only the "
         "cyclotomic congruence condition is computed",
     )
@@ -139,6 +236,7 @@ def build_parser() -> _Parser:
 
     p = add(
         "lemma32-set",
+        _lemma32_set,
         help="primes = 1 mod r and != 1 mod q (split in one cyclotomic field, "
         "non-split in the other); conditions in cover-specific auxiliary "
         "fields are out of scope",
@@ -147,181 +245,23 @@ def build_parser() -> _Parser:
     p.add_argument("r", type=int)
     p.add_argument("--bound", type=int, default=1000, help=f"prime bound, at most {SIEVE_CAP}")
 
-    p = add("biquad-split", help="quadratic subfields in which p splits")
+    p = add("biquad-split", _biquad_split, help="quadratic subfields in which p splits")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("p", type=int)
 
-    p = add("sum-two-squares", help="cyclic-quartic embeddability of sqrt(a)")
+    p = add("sum-two-squares", _sum_two_squares, help="cyclic-quartic embeddability of sqrt(a)")
     p.add_argument("a")
     return parser
 
 
 def _run(args) -> int:
-    if args.cmd == "classify":
-        g = parse_group_spec(args.group)
-        rep = classify(g)
-        _emit("classify", {"group": args.group}, rep.as_dict(), args.seed)
-        return EXIT_OK
-
-    if args.cmd == "obstructions":
-        g = parse_group_spec(args.group)
-        ws = detect_obstructions(g)
-        _emit(
-            "obstructions",
-            {"group": args.group},
-            [w.as_dict() for w in ws],
-            args.seed,
-            csv_rows=[(w.kind, *w.witness) for w in ws] if args.csv else None,
-        )
-        return EXIT_OK
-
-    if args.cmd == "local-cyclic":
-        ok = cyclic_tame_exists(args.q, args.d, args.e)
-        _emit(
-            "local-cyclic",
-            {"q": args.q, "d": args.d, "e": args.e},
-            {"exists": ok},
-            args.seed,
-        )
-        return EXIT_OK
-
-    if args.cmd == "tame-pairs":
-        g = parse_group_spec(args.group)
-        pairs = [p.as_dict() for p in enumerate_tame_pairs(g, args.q)]
-        columns = ("sigma", "tau", "inertia_order", "residue_degree")
-        _emit(
-            "tame-pairs",
-            {"group": args.group, "q": args.q},
-            {"count": len(pairs), "pairs": pairs},
-            args.seed,
-            csv_rows=[[p[c] for c in columns] for p in pairs] if args.csv else None,
-        )
-        return EXIT_OK
-
-    if args.cmd == "grunwald":
-        g = parse_group_spec(args.group)
-        problems = [parse_local_spec(t) for t in args.at]
-        if args.batch:
-            problems += load_local_spec_batch(args.batch)
-        if not problems:
-            raise UsageError("grunwald needs at least one --at p,e,f or --batch file")
-        rep = grunwald_feasible(g, problems)
-        _emit(
-            "grunwald",
-            {"group": args.group, "at": args.at, "batch": args.batch},
-            rep.as_dict(),
-            args.seed,
-            csv_rows=(
-                [(s.p, s.e, s.f, ok) for s, ok in zip(rep.problems, rep.feasible)]
-                if args.csv
-                else None
-            ),
-        )
-        return EXIT_OK
-
-    if args.cmd == "specialize":
-        cover = parse_cover_spec(args.cover)
-        pred = predict_specialization(cover, Fraction(args.t0), args.p)
-        _emit(
-            "specialize",
-            {"cover": args.cover, "t0": args.t0, "p": args.p},
-            {
-                "predicted_e": pred.predicted_e,
-                "predicted_f": pred.predicted_f,
-                "exceptional": pred.exceptional,
-                "intersection": {"point": pred.point, "multiplicity": pred.multiplicity},
-            },
-            args.seed,
-        )
-        return EXIT_OK
-
-    if args.cmd == "verify-beckmann":
-        cover = parse_cover_spec(args.cover)
-        reports, summary = sweep(cover, args.primes, args.samples, seed=args.seed)
-        if args.csv:
-            for r in reports:
-                d = r.as_dict()
-                print(
-                    ",".join(
-                        str(d[k])
-                        for k in (
-                            "t0",
-                            "p",
-                            "predicted_e",
-                            "predicted_f",
-                            "oracle_e",
-                            "oracle_f",
-                            "exceptional",
-                            "agree",
-                        )
-                    )
-                )
-        elif not args.quiet:
-            for r in reports:
-                print(r.to_json_line())
-        _emit(
-            "verify-beckmann",
-            {"cover": args.cover, "primes": args.primes, "samples": args.samples},
-            summary,
-            args.seed,
-        )
-        return EXIT_OK if summary["disagreements"] == 0 else EXIT_VERIFY
-
-    if args.cmd == "oracle":
-        inv = kummer_local_invariants(args.p, args.d, args.v, args.w)
-        _emit(
-            "oracle",
-            {"p": args.p, "d": args.d, "v": args.v, "w": args.w},
-            inv.as_dict(),
-            args.seed,
-        )
-        return EXIT_OK
-
-    if args.cmd == "strata":
-        stratum = enumerate_stratum(args.d, args.e, args.bound)
-        _emit(
-            "strata",
-            {"d": args.d, "e": args.e, "bound": args.bound},
-            stratum.as_dict(),
-            args.seed,
-            csv_rows=[(p,) for p in stratum.primes] if args.csv else None,
-        )
-        return EXIT_OK
-
-    if args.cmd == "lemma32-set":
-        primes = lemma32_prime_set(args.q, args.r, args.bound)
-        _emit(
-            "lemma32-set",
-            {"q": args.q, "r": args.r, "bound": args.bound},
-            {"count": len(primes), "primes": primes},
-            args.seed,
-            csv_rows=[(p,) for p in primes] if args.csv else None,
-        )
-        return EXIT_OK
-
-    if args.cmd == "biquad-split":
-        split = biquadratic_split(args.a, args.b, args.p)
-        _emit(
-            "biquad-split",
-            {"a": args.a, "b": args.b, "p": args.p},
-            {"split_subfields": sorted(split)},
-            args.seed,
-        )
-        return EXIT_OK
-
-    if args.cmd == "sum-two-squares":
-        a = Fraction(args.a)
-        ok = c4_embeddable_quadratic(a)
-        _emit(
-            "sum-two-squares",
-            {"a": args.a},
-            {"embeddable": ok, "degenerate": is_rational_square(a)},
-            args.seed,
-        )
-        return EXIT_OK
-
-    raise UsageError(f"unknown command {args.cmd!r}")  # pragma: no cover
+    result, csv_rows = args.handler(args)
+    if args.csv and csv_rows is not None:
+        _print_csv(csv_rows)
+    else:
+        _emit(args, result)
+    return EXIT_VERIFY if args.cmd == "verify-beckmann" and result["disagreements"] else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -73,7 +73,9 @@ def parse_cover_spec(text: str) -> KummerCover:
             raise ValueError(f"bad cover spec fragment {part!r}")
         fields[key.strip()] = val.strip()
     try:
-        return KummerCover(d=int(fields["d"]), m=int(fields["m"]), c=Fraction(fields["c"]))
+        return KummerCover(
+            d=int(fields["d"]), m=int(fields["m"]), c=numtheory.parse_rational(fields["c"])
+        )
     except KeyError as exc:
         raise ValueError(f"cover spec {text!r} is missing {exc}") from exc
 
@@ -210,12 +212,13 @@ class SpecializationReport:
 
 def verify_beckmann(cover: KummerCover, t0, p: int) -> SpecializationReport:
     """Fill a report: prediction on one side, the finite-field oracle applied
-    to u = c*t0^m on the other."""
+    to u = c*t0^m on the other.  The oracle's v = v_p(u) and w, the residue of
+    u / p^v, are taken from those of c and t0, so t0^m is never formed."""
     t0 = Fraction(t0)
     pred = predict_specialization(cover, t0, p)
-    u = cover.c * t0**cover.m
-    v = numtheory.rational_valuation(u, p)
-    w = numtheory.unit_residue(u, p)
+    c, m = cover.c, cover.m
+    v = numtheory.rational_valuation(c, p) + m * numtheory.rational_valuation(t0, p)
+    w = numtheory.unit_residue(c, p) * pow(numtheory.unit_residue(t0, p), m, p) % p
     inv: KummerLocalInvariants = kummer_local_invariants(p, cover.d, v, w)
     return SpecializationReport(
         cover=cover,

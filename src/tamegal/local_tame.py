@@ -153,7 +153,10 @@ def parse_local_spec(text: str) -> LocalExtensionSpec:
 def load_local_spec_batch(path: str) -> list[LocalExtensionSpec]:
     """A JSON array of spec strings or {"p":..,"e":..,"f":..[,"D":..]} objects."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:  # nesting too deep to decode
+            raise ValueError(f"batch file {path!r}: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError(f"batch file {path!r} does not hold a JSON array")
     return [parse_local_spec(x) if isinstance(x, str) else _local_spec(x, x) for x in data]

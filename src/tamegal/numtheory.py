@@ -169,6 +169,16 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+def parse_rational(text: str) -> Fraction:
+    """The rational written as text ("a", "a/b" or a decimal), as Fraction
+    reads it; a zero denominator is refused with ValueError, not
+    ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
 def rational_valuation(x: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     x = Fraction(x)
@@ -180,9 +190,8 @@ def rational_valuation(x: Fraction, p: int) -> int:
 def unit_residue(x: Fraction, p: int) -> int:
     """Residue mod p of the p-unit part of x, i.e. of x / p^v_p(x)."""
     x = Fraction(x)
-    v = rational_valuation(x, p)
-    num = x.numerator // p**max(v, 0)
-    den = x.denominator // p**max(-v, 0)
+    num = x.numerator // p ** valuation(x.numerator, p)
+    den = x.denominator // p ** valuation(x.denominator, p)
     return num * pow(den, -1, p) % p
 
 

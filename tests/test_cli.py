@@ -177,6 +177,21 @@ def test_malformed_local_specs_exit_1(capsys, tmp_path):
         assert run_cli(capsys, "grunwald", "S3", "--at", at)[0] == 1, at
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["specialize", "d=9,m=1,c=1", "--t0", "1/0", "--p", "7"], "'1/0'"),
+    (["sum-two-squares", "1/0"], "'1/0'"),
+    (["specialize", "d=9,m=1,c=1/0", "--t0", "7", "--p", "7"], "'1/0'"),
+    (["verify-beckmann", "d=3,m=1,c=1/0", "--primes", "100", "--samples", "2"], "'1/0'"),
+    (["grunwald", "C4", "--batch", "deep.json"], "'deep.json'"),
+], ids=["t0", "sum-two-squares", "specialize-cover", "verify-beckmann-cover", "batch-nesting"])
+def test_zero_denominators_and_deep_nesting_exit_1(capsys, tmp_path, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("deep.json").write_text("[" * 100000)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "usage error" in err and named in err and "Traceback" not in err
+
+
 def test_local_spec_field_types(capsys, tmp_path):
     # JSON integers and digit strings mix; a null D means no D
     batch = tmp_path / "b.json"
@@ -391,3 +406,33 @@ def test_internal_defect_exits_3(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert "Traceback" in err and "ArithmeticError: order search failed" in err
+
+
+# sha256 of stdout for the output forms STDOUT_SHA256 leaves out: CSV rows,
+# CSV before a JSON summary, no CSV rows at all, --quiet, and --csv on a
+# command with no CSV form, recorded while each command was a branch of one
+# if-chain.
+CSV_STDOUT_SHA256 = {
+    "--csv verify-beckmann d=3,m=1,c=1 --primes 1000 --samples 5":
+        "add7484aa7303662b5f8cd7a26e83cc15a9ecbcb1e651029e697c75d85e41bbc",
+    "verify-beckmann d=3,m=1,c=1 --primes 1000 --samples 5 --quiet":
+        "e42035feb560756d347491e33290dfc7cbbe748226c76c77055b0c0ca52b20e8",
+    "--csv classify S3": "918761b70201b52252bb075c3ce9c2eda02425d0d2755b09e0ac75d2af358901",
+    "--csv tame-pairs Q8 3": "f7b4b4509e79ecf1e57442f7f2879eca8808bcf2554c8d3821fd10902646965d",
+    "--csv grunwald S3 --at 7,3,1 --at 5,3,2":
+        "0e28ac769d94ec94a84f2010ee7a0036c139224f262d01e802e8c31ca66e81c0",
+    "--csv obstructions X:C2*C2": "708281665694df821cf55e170268f8dd42388b4bc5750217371c8dc9fcfb6354",
+    "--csv obstructions S3": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "--csv strata 9 3 --bound 100": "683cd4e3e5d78a2276e00e92318e82fad065a0acbe8ca82ed184f8c1c1ee4c1d",
+    "--csv lemma32-set 3 5 --bound 200":
+        "a6f7077372f142e0b8fe521b66649243ed284417903ad68cf3be784264018aee",
+}
+
+
+def test_csv_and_quiet_stdout_is_byte_identical(capsys):
+    got = {}
+    for cmd in CSV_STDOUT_SHA256:
+        code, out, _ = run_cli(capsys, *cmd.split())
+        assert code == 0, cmd
+        got[cmd] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == CSV_STDOUT_SHA256

@@ -1,11 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from tamegal import covers as cv
 from tamegal import numtheory as nt
+from tamegal.padic_oracle import kummer_local_invariants
 
 
 def test_cover_construction_and_parsing():
@@ -219,6 +221,42 @@ def test_sample_points_refuses_when_every_prime_is_exceptional(spec, bound):
     for sampler in (cv.sample_points, ref_sample_points):
         with pytest.raises(ValueError, match="no non-exceptional primes"):
             sampler(cover, bound, 5, 0)
+
+
+def ref_oracle(cover, t0, p):
+    """The oracle's (e, f) as first written: v and w read off the Fraction
+    u = c*t0^m."""
+    u = cover.c * Fraction(t0) ** cover.m
+    inv = kummer_local_invariants(p, cover.d, nt.rational_valuation(u, p), nt.unit_residue(u, p))
+    return inv.e, inv.f
+
+
+@pytest.mark.parametrize("spec,bound", _SAMPLED_COVERS)
+def test_oracle_from_the_splits_of_c_and_t0_matches_the_fraction(spec, bound):
+    cover = cv.parse_cover_spec(spec)
+    points = cv.sample_points(cover, bound, 300, 3)
+    # the sample leaves out the primes that divide c
+    c_primes = [p for p in (3, 5, 7) if cover.c.numerator * cover.c.denominator % p == 0]
+    points += [
+        (Fraction(a, 13) * Fraction(p) ** j, p)
+        for p in c_primes if cover.d % p for j in (-2, 0, 3) for a in (1, -11)
+    ]
+    for t0, p in points:
+        r = cv.verify_beckmann(cover, t0, p)
+        assert (r.oracle_e, r.oracle_f) == ref_oracle(cover, t0, p), (t0, p)
+
+
+def test_oracle_cost_does_not_grow_with_m_squared():
+    start = time.perf_counter()
+    t0 = Fraction(997 * 97**3, 991)
+    cover = cv.KummerCover(3, 10**5, Fraction(5, 97))
+    r = cv.verify_beckmann(cover, t0, 97)
+    _, summary = cv.sweep(cv.KummerCover(3, 10**5, Fraction(1)), 100, 2, seed=0)
+    assert time.perf_counter() - start < 1
+    w = 5 * pow(997 * pow(991, -1, 97), 10**5, 97) % 97
+    inv = kummer_local_invariants(97, 3, 3 * 10**5 - 1, w)
+    assert (r.oracle_e, r.oracle_f) == (inv.e, inv.f)
+    assert summary["samples"] == 2
 
 
 def test_sweep_determinism():
