@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import numtheory
 from .padic_oracle import KummerLocalInvariants, kummer_local_invariants
 
@@ -237,6 +239,17 @@ def verify_beckmann(cover: KummerCover, t0, p: int) -> SpecializationReport:
 # seeded sweeps
 
 
+def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
+    """|n| mod each of the int64 moduli, all below 2^31, for an integer n of
+    any size: Horner over the 32-bit limbs of |n|, most significant first.
+    Each step keeps r < modulus, so (r << 32) + limb < 2^63 fits int64."""
+    n = abs(n)
+    r = np.zeros_like(moduli)
+    for shift in range(32 * ((n.bit_length() - 1) // 32), -1, -32):
+        r = ((r << 32) + ((n >> shift) & 0xFFFFFFFF)) % moduli
+    return r
+
+
 def sample_points(cover: KummerCover, prime_bound: int, samples: int, seed: int):
     """Deterministic (t0, p) sample stream: p uniform over the primes <= bound
     that do not divide exceptional_primes_divide(), and t0 = +-num/den * p^j,
@@ -245,14 +258,14 @@ def sample_points(cover: KummerCover, prime_bound: int, samples: int, seed: int)
     samples, and the prime bound is at most numtheory.SIEVE_CAP."""
     if samples > SAMPLE_CAP:
         raise ValueError(f"{samples} samples is above the sample cap {SAMPLE_CAP}")
-    bad = cover.exceptional_primes_divide()
-    primes = [p for p in numtheory.primes_upto(prime_bound).tolist() if bad % p]
-    if not primes:
+    primes = numtheory.primes_upto(prime_bound)
+    primes = primes[_residues(cover.exceptional_primes_divide(), primes) != 0]
+    if not primes.size:
         raise ValueError("no non-exceptional primes below the bound")
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
-        p = rng.choice(primes)
+        p = int(rng.choice(primes))
         num = rng.randint(1, 999)
         den = rng.randint(1, 999)
         while num % p == 0:

@@ -655,7 +655,7 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
         prods = g.table[np.ix_(elems, elems)]
         viol = (prods == prods.T) & ~member[:, elems]
         if viol.any():
-            i, j = np.argwhere(viol)[0]
+            i, j = divmod(int(viol.argmax()), elems.size)  # the first pair, row-major
             witness = (int(elems[i]), int(elems[j]))
             break
     if witness is not None:

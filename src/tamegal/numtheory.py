@@ -7,6 +7,9 @@ Sorenson and Webster 2017), so every n below psi_13 ~ 3.3 * 10^24 is decided
 exactly; a larger n is refused unless one of the bases divides it.  Factoring
 uses Brent's cycle variant of Pollard rho.  Everything here is exact integer
 arithmetic.
+
+The prime sieve is cached per limit and shared by every caller, so the
+arrays ``primes_upto`` returns are read-only.
 """
 
 from __future__ import annotations
@@ -14,12 +17,19 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 
 # primes_upto allocates limit + 1 bytes, so it refuses a limit above this
 SIEVE_CAP = 10**7
+# primes_upto keeps the sieves of this many limits
+_SIEVE_CACHE_SIZE = 4
+# parse_rational refuses a decimal exponent above this in absolute value, the
+# digit limit CPython puts on int strings
+DECIMAL_EXPONENT_CAP = 4300
+_DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d[\d_]*)\s*\Z", re.IGNORECASE)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BASES_PRODUCT = math.prod(_MR_BASES)
@@ -42,18 +52,31 @@ _PSI = (
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (simple numpy sieve), for a
-    limit up to SIEVE_CAP."""
+    """All primes <= limit as a read-only int64 array, for a limit up to
+    SIEVE_CAP.
+
+    Each limit is sieved once (simple numpy sieve) and the array is shared
+    by every caller; the last _SIEVE_CACHE_SIZE limits are kept.  A limit
+    above the cap is refused before the cache, on every call.
+    """
     if limit > SIEVE_CAP:
         raise ValueError(f"prime bound {limit} is above the sieve cap {SIEVE_CAP}")
+    return _sieve(limit)
+
+
+@functools.lru_cache(maxsize=_SIEVE_CACHE_SIZE)
+def _sieve(limit: int) -> np.ndarray:
     if limit < 2:
-        return np.array([], dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+        primes = np.array([], dtype=np.int64)
+    else:
+        mask = np.ones(limit + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        primes = np.flatnonzero(mask).astype(np.int64)
+    primes.setflags(write=False)
+    return primes
 
 
 def is_prime(n: int) -> bool:
@@ -172,7 +195,16 @@ def valuation(n: int, p: int) -> int:
 def parse_rational(text: str) -> Fraction:
     """The rational written as text ("a", "a/b" or a decimal), as Fraction
     reads it; a zero denominator is refused with ValueError, not
-    ZeroDivisionError."""
+    ZeroDivisionError, and so is a decimal exponent beyond
+    DECIMAL_EXPONENT_CAP, before Fraction expands 10^exponent."""
+    exp = _DECIMAL_EXPONENT.search(text)
+    digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+    # the length test comes first: int() itself refuses more than 4300 digits
+    if len(digits) > len(str(DECIMAL_EXPONENT_CAP)) or int(digits or "0") > DECIMAL_EXPONENT_CAP:
+        raise ValueError(
+            f"rational {text!r} has a decimal exponent beyond {DECIMAL_EXPONENT_CAP}, "
+            "the digit limit of a Python int"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:

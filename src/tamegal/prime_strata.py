@@ -5,6 +5,11 @@ form exactly the gcd(d, p-1)-th roots; that gcd indexes the stratum of p.
 Strata partition the odd primes prime to d, and their Dirichlet densities are
 exact rationals obtained by counting residues mod each prime power dividing d.
 
+Members are found by congruences, with no gcd: gcd(d, p-1) = e iff e | p-1
+and ell*e does not divide p-1 for every prime ell | d/e.  (Given e | p-1,
+e divides g = gcd(d, p-1), and g != e iff ell*e | g for some prime ell, that
+is, ell | d/e and ell*e | p-1.)
+
 Also here: the two-congruence prime sets used by the obstruction arguments
 (split in one cyclotomic field, non-split in another) and the quadratic-
 residue pigeonhole for biquadratic fields (a prime unramified in a biquadratic
@@ -17,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import numtheory
 
@@ -81,17 +84,19 @@ def predicted_stratum_density(d: int, e: int) -> Fraction:
 
 
 def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:
-    """All odd primes p <= bound, p not dividing d, with gcd(d, p-1) = e."""
+    """All odd primes p <= bound, p not dividing d, with gcd(d, p-1) = e,
+    found by congruences on the cached sieve: e | p-1, and ell*e does not
+    divide p-1 for each prime ell | d/e (see the module docstring)."""
     d, e, bound = int(d), int(e), int(bound)
     if d < 1 or e < 1 or d % e:
         raise ValueError(f"e={e} must divide d={d}")
     if d >= 2**63:
         raise ValueError(f"d={d} must be below 2^63, the range of the sieve's int64 primes")
-    primes = numtheory.primes_upto(bound)
-    primes = primes[primes > 2]
+    primes = numtheory.primes_upto(bound)[1:]  # the odd primes
     primes = primes[d % primes != 0] if d > 1 else primes
-    g = np.gcd(d, primes - 1)
-    members = primes[g == e]
+    members = primes[(primes - 1) % e == 0]
+    for ell in numtheory.factorize(d // e):
+        members = members[(members - 1) % (ell * e) != 0]
     total = int(primes.size)
     emp = Fraction(int(members.size), total) if total else Fraction(0)
     return PrimeStratum(

@@ -29,15 +29,17 @@ def _report(name, ok, elapsed, detail, budget):
 # criterion 1: obstruction-classification equivalence over the group corpus
 
 
-def _group_corpus():
-    for n in range(2, 513):
+def _group_corpus(n_max=512):
+    """The criterion-1 corpus, or its groups of order at most n_max."""
+    for n in range(2, n_max + 1):
         yield G.cyclic(n)
-    for n in range(2, 65):
+    for n in range(2, min(64, n_max // 2) + 1):
         yield G.dihedral(n)
     for n in (8, 16, 32):
-        yield G.generalized_quaternion(n)
+        if n <= n_max:
+            yield G.generalized_quaternion(n)
     for P in range(2, 257):
-        for Q in range(2, 512 // P + 1):
+        for Q in range(2, n_max // P + 1):
             for k in range(1, P):
                 if math.gcd(k, P) == 1 and pow(k, Q, P) == 1:
                     yield G.semidirect_cyclic(P, Q, k)
@@ -48,11 +50,11 @@ def _group_corpus():
     )
     for i, a in enumerate(basis):
         for b in basis[i:]:
-            if a.order * b.order <= 512:
+            if a.order * b.order <= n_max:
                 yield G.direct_product(a, b)
-    yield G.symmetric(4)
-    yield G.alternating(4)
-    yield G.alternating(5)
+    for g in (G.symmetric(4), G.alternating(4), G.alternating(5)):
+        if g.order <= n_max:
+            yield g
 
 
 def test_criterion_1_obstruction_classification_equivalence():

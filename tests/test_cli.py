@@ -258,6 +258,14 @@ def test_sieve_and_sample_sizes_above_the_cap_exit_1(capsys, argv, cap):
     assert cap in err and "Traceback" not in err
 
 
+def test_decimal_exponent_beyond_the_int_limit_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "specialize", "d=3,m=1,c=1", "--t0", "1e100000000", "--p", "7")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "decimal exponent beyond 4300" in err and "Traceback" not in err
+
+
 def test_global_flags_both_positions(capsys):
     _, out1, _ = run_cli(capsys, "--seed", "3", "verify-beckmann", "d=3,m=1,c=1",
                          "--primes", "1000", "--samples", "5", "--quiet")

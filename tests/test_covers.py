@@ -204,7 +204,21 @@ _SAMPLED_COVERS = (
 )
 
 
-@pytest.mark.parametrize("spec,bound", _SAMPLED_COVERS)
+def test_residues_of_big_integers_match_python():
+    primes = nt.primes_upto(10**6)[::97]
+    rng = random.Random(5)
+    for bits in (1, 31, 32, 33, 63, 64, 65, 135, 997):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        for x in (n, -n, n * int(primes[-1])):  # the last has a zero residue
+            assert cv._residues(x, primes).tolist() == [abs(x) % p for p in primes.tolist()], bits
+
+
+# c with a numerator above 2^63, so exceptional_primes_divide() leaves int64;
+# the filter must still drop 3 and 7919
+_BIG_C_COVER = (f"d=5,m=1,c={(2**64 + 13) * 7919}/{3**41}", 10**4)
+
+
+@pytest.mark.parametrize("spec,bound", _SAMPLED_COVERS + [_BIG_C_COVER])
 def test_sample_points_matches_per_prime_filter(spec, bound):
     cover = cv.parse_cover_spec(spec)
     for seed in (0, 17, 1_000_003 * 101 + 9):

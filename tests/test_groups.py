@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tamegal import groups as G
 from tamegal import numtheory as nt
+from test_acceptance import _group_corpus
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -371,6 +372,31 @@ def test_detect_obstructions_examples():
 def test_obstruction_witnesses_reverify(group):
     for w in G.detect_obstructions(group):
         assert w.verify(group), (group.label, w)
+
+
+def ref_non_cyclic_abelian_witness(g):
+    """The first commuting pair (a, b) of equal prime order q with b outside
+    <a>, for the least such q, as np.argwhere finds it over the elements of
+    order q in row-major order."""
+    for q in sorted(nt.factorize(g.order)) if g.order > 1 else []:
+        elems = np.flatnonzero(g.orders == q)
+        prods = g.table[np.ix_(elems, elems)]
+        outside = np.array([~np.isin(elems, g.cyclic_subgroup(int(a))) for a in elems]).reshape(prods.shape)
+        viol = (prods == prods.T) & outside
+        if viol.any():
+            i, j = np.argwhere(viol)[0]
+            return (int(elems[i]), int(elems[j]))
+    return None
+
+
+def test_non_cyclic_abelian_witness_is_the_first_violating_pair():
+    found = 0
+    for g in _group_corpus(128):
+        got = [w.witness for w in G.detect_obstructions(g) if w.kind == G.NON_CYCLIC_ABELIAN]
+        want = ref_non_cyclic_abelian_witness(g)
+        assert got == ([want] if want else []), g.label
+        found += want is not None
+    assert found > 100
 
 
 def test_sylow_shape_examples():

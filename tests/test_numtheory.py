@@ -1,6 +1,8 @@
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,56 @@ def test_primes_upto_matches_naive():
 
     assert nt.primes_upto(100).tolist() == naive(100)
     assert nt.primes_upto(1).tolist() == []
+
+
+def naive_sieve(n):
+    mark = [True] * (n + 1)
+    for p in range(2, n + 1):
+        for q in range(p * p, n + 1, p):
+            mark[q] = False
+    return [p for p in range(2, n + 1) if mark[p]]
+
+
+def test_cached_sieve_is_exact_read_only_and_shared():
+    # more limits than the cache keeps, each asked for twice, so entries are
+    # evicted and sieved again
+    limits = [-3, 0, 1, 2, 3, 4, 97, 100, 7919, 20_000]
+    for limit in limits + limits[::-1]:
+        primes = nt.primes_upto(limit)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == naive_sieve(limit), limit
+        assert not primes.flags.writeable
+        if primes.size:
+            with pytest.raises(ValueError):
+                primes[0] = 4
+        assert np.array_equal(nt.primes_upto(limit), primes)
+    assert nt.primes_upto(7919).tolist() == naive_sieve(7919)
+
+
+def test_sieve_cap_is_refused_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="sieve cap 10000000"):
+            nt.primes_upto(nt.SIEVE_CAP + 1)
+    assert nt.primes_upto(nt.SIEVE_CAP)[-1] == 9_999_991
+
+
+def test_parse_rational_forms():
+    assert nt.parse_rational("1e3") == 1000
+    assert nt.parse_rational("2.5e-3") == Fraction(1, 400)
+    assert nt.parse_rational("-7/3") == Fraction(-7, 3)
+    assert nt.parse_rational(" 3E0_1 ") == 30
+    assert nt.parse_rational("1e4300") == 10**4300
+    assert nt.parse_rational("1e-0004300") == Fraction(1, 10**4300)
+    with pytest.raises(ValueError, match="zero denominator"):
+        nt.parse_rational("1/0")
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", "1e100000000", "1e00_4_301", "1e" + "9" * 5000])
+def test_parse_rational_refuses_decimal_exponents_beyond_the_int_limit(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+        nt.parse_rational(text)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(

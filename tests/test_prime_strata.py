@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,24 @@ def test_predicted_density_rejects_non_divisors():
     for d, e in ((9, 2), (9, 0), (9, -3)):
         with pytest.raises(ValueError):
             ps.predicted_stratum_density(d, e)
+
+
+def test_enumerate_stratum_matches_gcd_reference():
+    """The congruence filter against math.gcd(d, p - 1) == e, prime by prime,
+    with the empirical density over the odd primes not dividing d."""
+    bound = 20_000
+    odd = naive_primes(bound)[1:]
+    rng = random.Random(20240611)
+    ds = [rng.randint(1, 10**6) for _ in range(300)]
+    ds += [1, 2, 3**12, 2**19, 7**7, 9973, 19997, 20011, 2 * 55001, 2**3 * 3**2 * 5 * 7 * 11 * 13]
+    for d in ds:
+        coprime = [p for p in odd if d % p]
+        gcds = [math.gcd(d, p - 1) for p in coprime]
+        for e in nt.divisors(d):
+            s = ps.enumerate_stratum(d, e, bound)
+            want = [p for p, g in zip(coprime, gcds) if g == e]
+            assert s.primes == want, (d, e)
+            assert s.empirical_density == Fraction(len(want), len(coprime)), (d, e)
 
 
 def test_strata_partition():
