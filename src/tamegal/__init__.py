@@ -21,7 +21,6 @@ from .covers import (
     KummerCover,
     SpecializationReport,
     branch_data,
-    intersection_multiplicity,
     parse_cover_spec,
     predict_specialization,
     sweep,

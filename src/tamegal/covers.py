@@ -30,6 +30,9 @@ from .padic_oracle import KummerLocalInvariants, kummer_local_invariants
 # sample_points builds a list of this many points at most
 SAMPLE_CAP = 10**6
 
+# numerators and denominators of c below this print within CPython's digit limit
+_C_BOUND = 10**numtheory.DECIMAL_EXPONENT_CAP
+
 ZERO = "zero"
 INFINITY = "infinity"
 
@@ -50,6 +53,11 @@ class KummerCover:
             raise ValueError("exponent m must be positive")
         if self.c == 0:
             raise ValueError("constant c must be nonzero")
+        if max(abs(self.c.numerator), self.c.denominator) >= _C_BOUND:
+            raise ValueError(
+                f"constant c has more than {numtheory.DECIMAL_EXPONENT_CAP} digits in its "
+                "numerator or denominator, the digit limit of a Python int string"
+            )
 
     @property
     def branch_inertia_order(self) -> int:
@@ -97,21 +105,6 @@ def branch_data(cover: KummerCover) -> list[BranchDatum]:
     return [BranchDatum(ZERO, e), BranchDatum(INFINITY, e)]
 
 
-def intersection_multiplicity(t0, point: str, p: int) -> int:
-    """p-adic meeting order of t0 with the branch point, clamped at zero.
-
-    For t = 0 this is max(v_p(t0), 0); for t = infinity, max(v_p(1/t0), 0).
-    """
-    t0 = Fraction(t0)
-    if point == ZERO:
-        if t0 == 0:
-            raise ValueError("t0 = 0 coincides with the branch point")
-        return max(numtheory.rational_valuation(t0, p), 0)
-    if point == INFINITY:
-        return max(-numtheory.rational_valuation(t0, p), 0)
-    raise ValueError(f"unknown branch point {point!r}")
-
-
 @dataclass(frozen=True)
 class Prediction:
     predicted_e: int
@@ -127,7 +120,7 @@ def _branch_residue_degree(cover: KummerCover, p: int) -> int:
     unity, where g = gcd(d, m).  Both layers are unramified at a
     non-exceptional p, so the degree is an lcm."""
     g = math.gcd(cover.d, cover.m)
-    f_cyc = numtheory.multiplicative_order_mod(p % cover.d, cover.d) if cover.d > 1 else 1
+    f_cyc = numtheory.multiplicative_order_mod(p % cover.d, cover.d)
     if g == 1:
         return f_cyc
     w = numtheory.unit_residue(cover.c, p)
@@ -139,10 +132,11 @@ def predict_specialization(cover: KummerCover, t0, p: int) -> Prediction:
     """Predicted local invariants of the specialization at t0, at the prime p.
 
     predicted_e = e_i / gcd(e_i, k) with k the intersection multiplicity at
-    the meeting branch point (k = 0 when none meets).  predicted_f is emitted
-    only when gcd(k, e_i) = 1, where the residue degree transfers from the
-    branch-point constants; otherwise only containment is known and the field
-    is withheld.
+    the meeting branch point: t0 meets t = 0 when v_p(t0) > 0 and t = infinity
+    when v_p(t0) < 0, with k = |v_p(t0)|, and no branch point when
+    v_p(t0) = 0 (k = 0).  predicted_f is emitted only when gcd(k, e_i) = 1,
+    where the residue degree transfers from the branch-point constants;
+    otherwise only containment is known and the field is withheld.
     """
     t0 = Fraction(t0)
     p = int(p)
@@ -151,15 +145,11 @@ def predict_specialization(cover: KummerCover, t0, p: int) -> Prediction:
     if t0 == 0:
         raise ValueError("t0 = 0 is not specializable (branch point or degenerate fiber)")
     e_i = cover.branch_inertia_order
-    point = None
-    k = 0
+    point, k = None, 0
     if e_i > 1:
-        k_zero = intersection_multiplicity(t0, ZERO, p)
-        k_inf = intersection_multiplicity(t0, INFINITY, p)
-        if k_zero > 0:
-            point, k = ZERO, k_zero
-        elif k_inf > 0:
-            point, k = INFINITY, k_inf
+        v = numtheory.rational_valuation(t0, p)
+        point = ZERO if v > 0 else INFINITY if v < 0 else None
+        k = abs(v)
     exceptional = cover.is_exceptional(p)
     predicted_e = e_i // math.gcd(e_i, k)
     predicted_f = None

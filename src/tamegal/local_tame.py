@@ -33,7 +33,8 @@ from .padic_oracle import WildRamificationError
 
 @dataclass(frozen=True)
 class TamePair:
-    """A pair (sigma, tau) with sigma^-1 tau sigma = tau^q and tame tau."""
+    """A generating pair (sigma, tau) of group with sigma^-1 tau sigma = tau^q
+    and tame tau."""
 
     group: FiniteGroup
     sigma: int
@@ -46,7 +47,9 @@ class TamePair:
         if math.gcd(o_tau, self.q) != 1:
             return False
         lhs = g.mul(g.inverse(self.sigma), g.mul(self.tau, self.sigma))
-        return lhs == g.power(self.tau, self.q)
+        if lhs != g.power(self.tau, self.q):
+            return False
+        return g.subgroup_closure([self.sigma, self.tau]).size == g.order
 
     @property
     def inertia_order(self) -> int:
@@ -54,16 +57,10 @@ class TamePair:
 
     @property
     def residue_degree(self) -> int:
-        """The least k >= 1 with sigma^k in <tau>, so that <sigma, tau> has
-        order inertia_order * residue_degree.  The k with sigma^k in <tau>
-        are the multiples of it, so it divides down from ord(sigma)."""
-        g = self.group
-        inertia = set(g.cyclic_subgroup(self.tau).tolist())
-        k = g.element_order(self.sigma)
-        for ell in numtheory.factorize(k):
-            while k % ell == 0 and g.power(self.sigma, k // ell) in inertia:
-                k //= ell
-        return k
+        """The least k >= 1 with sigma^k in <tau>.  The pair generates the
+        group, of order inertia_order * k (module docstring), so k is the
+        quotient."""
+        return self.group.order // self.inertia_order
 
     def as_dict(self):
         return {

@@ -266,6 +266,14 @@ def test_decimal_exponent_beyond_the_int_limit_exits_1(capsys):
     assert "decimal exponent beyond 4300" in err and "Traceback" not in err
 
 
+def test_cover_constant_beyond_the_int_string_limit_exits_1(capsys):
+    # 55e4299 has 4301 digits, which the report could not print
+    code, out, err = run_cli(capsys, "verify-beckmann", "d=3,m=1,c=55e4299", "--samples", "1")
+    assert code == 1 and out == ""
+    assert "more than 4300 digits" in err
+    assert "Exceeds the limit" not in err and "Traceback" not in err
+
+
 def test_global_flags_both_positions(capsys):
     _, out1, _ = run_cli(capsys, "--seed", "3", "verify-beckmann", "d=3,m=1,c=1",
                          "--primes", "1000", "--samples", "5", "--quiet")
@@ -444,3 +452,34 @@ def test_csv_and_quiet_stdout_is_byte_identical(capsys):
         assert code == 0, cmd
         got[cmd] = hashlib.sha256(out.encode()).hexdigest()
     assert got == CSV_STDOUT_SHA256
+
+
+# sha256 of stdout for tame pairs, whose residue degrees were then found by a
+# divide-down from ord(sigma), and for specializations that meet t = 0, meet
+# nothing, meet t = infinity, sit on a cover with e_i = 1 and sit at an
+# exceptional prime, recorded while the meeting branch point was found by one
+# valuation per branch point.
+PAIR_AND_MEETING_STDOUT_SHA256 = {
+    "tame-pairs C2048 5": "1cfffa318ca42e28ff39be86819b852ec94d51da03221727059eb958e1ad8bdd",
+    "tame-pairs SD:13,3,3 3": "234e92247300f8f176447c075f8f320220f9afec3319a31f3d6be34e06334346",
+    "--csv tame-pairs D13 103": "558754c5ec520ea9e8564b555d2b5e7ce3eda51844c8bda5896f1dbfa398c2e4",
+    "specialize d=9,m=1,c=1 --t0 49/3 --p 7":
+        "cde8fd11b1e9b0af82ad03cddce5d7cd5a4c2210a57b7f424f7baa9ee62439b0",
+    "specialize d=9,m=1,c=1 --t0 5 --p 7":
+        "a9953f09e78a5d79d4edb51c6888e13f6ec6e84a8a76aeccc3776abe9c32e7b8",
+    "specialize d=9,m=1,c=1 --t0 1/7 --p 7":
+        "53802d2e161dab8c10ebbde54634c4a5480fd8837189f9a8caeee4b6ca66eb24",
+    "specialize d=3,m=3,c=2 --t0 7 --p 7":
+        "d4c2730067407e7ecd38d75636393befa9f92a023614bc384d90d5bf62184184",
+    "specialize d=12,m=4,c=5 --t0 5 --p 5":
+        "dd5dcfb3828d24855faf2de4b2f9af068e59ea9fd2430de978c21b457ea663d5",
+}
+
+
+def test_pair_and_meeting_stdout_is_byte_identical(capsys):
+    got = {}
+    for cmd in PAIR_AND_MEETING_STDOUT_SHA256:
+        code, out, _ = run_cli(capsys, *cmd.split())
+        assert code == 0, cmd
+        got[cmd] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PAIR_AND_MEETING_STDOUT_SHA256

@@ -21,6 +21,12 @@ def test_cover_construction_and_parsing():
         cv.KummerCover(1, 1, Fraction(1))
     with pytest.raises(ValueError):
         cv.KummerCover(3, 1, Fraction(0))
+    # c must print as a Python int string of at most 4300 digits, on both sides
+    widest = 10**4300 - 1
+    assert cv.KummerCover(3, 1, Fraction(-widest, widest - 1)).spec_string()
+    for c in (Fraction(10**4300), Fraction(-(10**4300)), Fraction(1, 10**4300)):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            cv.KummerCover(3, 1, c)
 
 
 def test_branch_data_examples():
@@ -35,15 +41,6 @@ def test_branch_data_examples():
     assert cv.branch_data(cv.KummerCover(2, 2, Fraction(1))) == []
 
 
-def test_intersection_multiplicity_examples():
-    assert cv.intersection_multiplicity(Fraction(49, 3), cv.ZERO, 7) == 2
-    assert cv.intersection_multiplicity(Fraction(5), cv.ZERO, 7) == 0
-    assert cv.intersection_multiplicity(Fraction(3, 125), cv.INFINITY, 5) == 3
-    assert cv.intersection_multiplicity(Fraction(1, 7), cv.ZERO, 7) == 0  # clamped
-    with pytest.raises(ValueError):
-        cv.intersection_multiplicity(Fraction(0), cv.ZERO, 7)
-
-
 def test_predict_examples():
     pred = cv.predict_specialization(cv.KummerCover(9, 1, Fraction(1)), Fraction(7), 7)
     assert (pred.predicted_e, pred.predicted_f) == (9, 3)
@@ -55,6 +52,19 @@ def test_predict_examples():
 
     pred = cv.predict_specialization(cv.KummerCover(3, 1, Fraction(1)), Fraction(5), 7)
     assert pred.predicted_e == 1 and pred.multiplicity == 0 and pred.point is None
+
+    # the branch point t0 meets and the multiplicity, from the sign and size of v_p(t0)
+    for t0, p, point, k in [
+        (Fraction(49, 3), 7, cv.ZERO, 2),
+        (Fraction(5), 7, None, 0),
+        (Fraction(3, 125), 5, cv.INFINITY, 3),
+        (Fraction(1, 7), 7, cv.INFINITY, 1),
+    ]:
+        pred = cv.predict_specialization(cv.KummerCover(9, 1, Fraction(1)), t0, p)
+        assert (pred.point, pred.multiplicity) == (point, k), t0
+    # with e_i = 1 no branch point exists to meet
+    pred = cv.predict_specialization(cv.KummerCover(3, 3, Fraction(2)), Fraction(7), 7)
+    assert (pred.predicted_e, pred.point, pred.multiplicity) == (1, None, 0)
 
     with pytest.raises(ValueError):
         cv.predict_specialization(cv.KummerCover(3, 1, Fraction(1)), Fraction(0), 7)

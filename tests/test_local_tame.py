@@ -312,15 +312,20 @@ def test_tame_pairs_match_closure_reference(spec, qs):
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "SD:7,3,2", "S4", "X:C4*C4", "Q16"])
 def test_residue_degree_matches_closure_on_non_generating_pairs(spec):
-    # every (sigma, tau) under the relation, most of which generate a proper subgroup
+    # every (sigma, tau) under the relation, most of which generate a proper
+    # subgroup H: such a pair is no tame pair of G, but it is one of H
     g = G.parse_group_spec(spec)
     for q in (2, 3, 5, 7):
         for sigma, tau in np.argwhere(g.conj == g.powers(q)[None, :]).tolist():
+            closure = g.subgroup_closure([sigma, tau])
             pair = lt.TamePair(group=g, sigma=sigma, tau=tau, q=q)
-            if not pair.verify():
+            assert pair.verify() == (closure.size == g.order), (spec, q, sigma, tau)
+            if closure.size == g.order:
                 continue
-            size = g.subgroup_closure([sigma, tau]).size
-            assert pair.residue_degree * pair.inertia_order == size, (spec, q, sigma, tau)
+            s, t = np.searchsorted(closure, [sigma, tau]).tolist()
+            pair = lt.TamePair(group=g.subgroup(closure), sigma=s, tau=t, q=q)
+            assert pair.verify(), (spec, q, sigma, tau)
+            assert pair.residue_degree * pair.inertia_order == closure.size
 
 
 GRUNWALD_GROUPS = ["S3", "D7", "Q8", "D4", "X:C4*C2", "A4", "SD:7,3,2", "SD:13,3,3", "X:C2*C2"]

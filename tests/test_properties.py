@@ -40,13 +40,13 @@ def test_two_squares_criterion_matches_enumeration(a):
 def test_intersection_multiplicity_shift(t0, p, j):
     shifted = t0 * Fraction(p) ** j
     v = nt.rational_valuation(t0, p) + j
-    assert cv.intersection_multiplicity(shifted, cv.ZERO, p) == max(v, 0)
-    assert cv.intersection_multiplicity(shifted, cv.INFINITY, p) == max(-v, 0)
-    # exactly one side can be positive
-    assert (
-        cv.intersection_multiplicity(shifted, cv.ZERO, p) == 0
-        or cv.intersection_multiplicity(shifted, cv.INFINITY, p) == 0
-    )
+    pred = cv.predict_specialization(cv.KummerCover(6, 1, Fraction(1)), shifted, p)
+    # t0 meets at most one branch point, clamped at zero on the other
+    k_zero = pred.multiplicity if pred.point == cv.ZERO else 0
+    k_inf = pred.multiplicity if pred.point == cv.INFINITY else 0
+    assert (k_zero, k_inf) == (max(v, 0), max(-v, 0))
+    assert pred.point is not None or pred.multiplicity == 0
+    assert pred.predicted_e == 6 // math.gcd(6, v)
 
 
 @settings(max_examples=150, deadline=None)
