@@ -41,18 +41,7 @@ def test_branch_data_examples():
     assert cv.branch_data(cv.KummerCover(2, 2, Fraction(1))) == []
 
 
-def test_predict_examples():
-    pred = cv.predict_specialization(cv.KummerCover(9, 1, Fraction(1)), Fraction(7), 7)
-    assert (pred.predicted_e, pred.predicted_f) == (9, 3)
-    assert (pred.point, pred.multiplicity) == (cv.ZERO, 1)
-
-    pred = cv.predict_specialization(cv.KummerCover(3, 1, Fraction(1)), Fraction(7**3 * 2), 7)
-    assert pred.predicted_e == 1 and pred.predicted_f is None
-    assert pred.multiplicity == 3
-
-    pred = cv.predict_specialization(cv.KummerCover(3, 1, Fraction(1)), Fraction(5), 7)
-    assert pred.predicted_e == 1 and pred.multiplicity == 0 and pred.point is None
-
+def test_intersection_multiplicity_examples():
     # the branch point t0 meets and the multiplicity, from the sign and size of v_p(t0)
     for t0, p, point, k in [
         (Fraction(49, 3), 7, cv.ZERO, 2),
@@ -65,6 +54,21 @@ def test_predict_examples():
     # with e_i = 1 no branch point exists to meet
     pred = cv.predict_specialization(cv.KummerCover(3, 3, Fraction(2)), Fraction(7), 7)
     assert (pred.predicted_e, pred.point, pred.multiplicity) == (1, None, 0)
+    with pytest.raises(ValueError):
+        cv.predict_specialization(cv.KummerCover(9, 1, Fraction(1)), Fraction(0), 7)
+
+
+def test_predict_examples():
+    pred = cv.predict_specialization(cv.KummerCover(9, 1, Fraction(1)), Fraction(7), 7)
+    assert (pred.predicted_e, pred.predicted_f) == (9, 3)
+    assert (pred.point, pred.multiplicity) == (cv.ZERO, 1)
+
+    pred = cv.predict_specialization(cv.KummerCover(3, 1, Fraction(1)), Fraction(7**3 * 2), 7)
+    assert pred.predicted_e == 1 and pred.predicted_f is None
+    assert pred.multiplicity == 3
+
+    pred = cv.predict_specialization(cv.KummerCover(3, 1, Fraction(1)), Fraction(5), 7)
+    assert pred.predicted_e == 1 and pred.multiplicity == 0 and pred.point is None
 
     with pytest.raises(ValueError):
         cv.predict_specialization(cv.KummerCover(3, 1, Fraction(1)), Fraction(0), 7)
