@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numtheory
-from .padic_oracle import KummerLocalInvariants, kummer_local_invariants
+from .padic_oracle import kummer_local_invariants
 
 # sample_points builds a list of this many points at most
 SAMPLE_CAP = 10**6
@@ -123,7 +123,7 @@ def _branch_residue_degree(cover: KummerCover, p: int) -> int:
     f_cyc = numtheory.multiplicative_order_mod(p % cover.d, cover.d)
     if g == 1:
         return f_cyc
-    w = numtheory.unit_residue(cover.c, p)
+    w = numtheory.p_split(cover.c, p)[1]
     f_const = kummer_local_invariants(p, g, 0, w).f
     return math.lcm(f_cyc, f_const)
 
@@ -147,7 +147,7 @@ def predict_specialization(cover: KummerCover, t0, p: int) -> Prediction:
     e_i = cover.branch_inertia_order
     point, k = None, 0
     if e_i > 1:
-        v = numtheory.rational_valuation(t0, p)
+        v = numtheory.p_split(t0, p)[0]
         point = ZERO if v > 0 else INFINITY if v < 0 else None
         k = abs(v)
     exceptional = cover.is_exceptional(p)
@@ -205,13 +205,12 @@ class SpecializationReport:
 def verify_beckmann(cover: KummerCover, t0, p: int) -> SpecializationReport:
     """Fill a report: prediction on one side, the finite-field oracle applied
     to u = c*t0^m on the other.  The oracle's v = v_p(u) and w, the residue of
-    u / p^v, are taken from those of c and t0, so t0^m is never formed."""
+    u / p^v, come from p_split(c, p) and p_split(t0, p); t0^m is never formed."""
     t0 = Fraction(t0)
     pred = predict_specialization(cover, t0, p)
-    c, m = cover.c, cover.m
-    v = numtheory.rational_valuation(c, p) + m * numtheory.rational_valuation(t0, p)
-    w = numtheory.unit_residue(c, p) * pow(numtheory.unit_residue(t0, p), m, p) % p
-    inv: KummerLocalInvariants = kummer_local_invariants(p, cover.d, v, w)
+    (vc, wc), (vt, wt) = numtheory.p_split(cover.c, p), numtheory.p_split(t0, p)
+    m = cover.m
+    inv = kummer_local_invariants(p, cover.d, vc + m * vt, wc * pow(wt, m, p) % p)
     return SpecializationReport(
         cover=cover,
         t0=t0,

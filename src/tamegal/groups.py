@@ -301,21 +301,17 @@ def semidirect_cyclic(P: int, Q: int, k: int) -> FiniteGroup:
     P, Q = int(P), int(Q)
     if P < 1 or Q < 1 or P * Q > ORDER_CAP:
         raise GroupError(f"orders ({P}, {Q}) invalid or product above {ORDER_CAP}")
-    k = int(k) % P if P > 1 else 0
-    if P > 1:
-        if math.gcd(k, P) != 1:
-            raise GroupError(f"action invalid: gcd({k}, {P}) = {math.gcd(k, P)} != 1")
-        if pow(k, Q, P) != 1:
-            raise GroupError(
-                f"action invalid: k^Q = {k}^{Q} = {pow(k, Q, P)} mod {P}, expected 1"
-            )
+    k = int(k) % P
+    if math.gcd(k, P) != 1:
+        raise GroupError(f"action invalid: gcd({k}, {P}) = {math.gcd(k, P)} != 1")
+    if pow(k, Q, P) != 1 % P:
+        raise GroupError(
+            f"action invalid: k^Q = {k}^{Q} = {pow(k, Q, P)} mod {P}, expected 1"
+        )
     n = P * Q
     ip = np.arange(P, dtype=np.int32)
-    if P > 1:
-        kbar = pow(k, -1, P)
-        kbar_pows = np.array([pow(kbar, j, P) for j in range(Q)], dtype=np.int32)
-    else:
-        kbar_pows = np.ones(Q, dtype=np.int32)
+    kbar = pow(k, -1, P)
+    kbar_pows = np.array([pow(kbar, j, P) for j in range(Q)], dtype=np.int32)
     # block structure: the (i1, i2) part depends on j1 only and the j part is
     # a Q x Q pattern, so the modular work stays at P*n; the two are summed
     # in one broadcast over (j1, i1, j2, i2)
@@ -331,7 +327,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (rotations r^i, reflections r^i s)."""
     if n < 1 or 2 * n > ORDER_CAP:
         raise GroupError(f"dihedral parameter {n} out of range")
-    g = semidirect_cyclic(n, 2, n - 1 if n > 1 else 0)
+    g = semidirect_cyclic(n, 2, n - 1)
     return FiniteGroup(g.table, label=f"D{n}", validate=False)
 
 
@@ -643,7 +639,7 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
     orders = g.orders
 
     witness = None
-    for q in sorted(numtheory.factorize(g.order)) if g.order > 1 else []:
+    for q in sorted(numtheory.factorize(g.order)):
         elems = np.flatnonzero(orders == q)
         if elems.size <= q - 1:
             continue  # a single C_q at most
@@ -696,7 +692,7 @@ def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
         raise GroupError(f"{p} is not prime")
     if g.order % p:
         raise GroupError(f"{p} does not divide the group order {g.order}")
-    target = p ** numtheory.valuation(g.order, p)
+    target = p ** numtheory.factorize(g.order)[p]
     orders, t = g.orders, g.table
     if (orders == target).any():
         return SylowShape(SYLOW_CYCLIC, target)
@@ -748,17 +744,6 @@ def _order_2_or_odd_prime_power(m: int) -> bool:
 
 def classify(g: FiniteGroup) -> ClassificationReport:
     """Full eligibility report; the trivial group gets all flags false."""
-    if g.order == 1:
-        return ClassificationReport(
-            group_label=g.label,
-            is_trivial=True,
-            hg_real=False,
-            hg_sqrt_minus1=False,
-            pd1_candidate=False,
-            frobenius_decomposition=None,
-            sylow_shapes={},
-            obstructions=[],
-        )
     obstructions = detect_obstructions(g)
     frob = frobenius_cyclic_decomposition(g)
     cyc = g.is_cyclic
@@ -786,7 +771,7 @@ def classify(g: FiniteGroup) -> ClassificationReport:
     )
     return ClassificationReport(
         group_label=g.label,
-        is_trivial=False,
+        is_trivial=n == 1,
         hg_real=hg_real,
         hg_sqrt_minus1=hg_sqrt,
         pd1_candidate=pd1,

@@ -72,17 +72,18 @@ class TamePair:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalExtensionSpec:
     """Prescribed local behavior at p: ramification index e, residue degree f,
-    optionally a specific decomposition group."""
+    optionally a specific decomposition group.  Checked when built: p must be
+    prime, e and f positive, and a wild problem (p | e) raises."""
 
     p: int
     e: int
     f: int
     group_spec: FiniteGroup | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if not numtheory.is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.e < 1 or self.f < 1:
@@ -114,14 +115,12 @@ def _local_spec(fields, source) -> LocalExtensionSpec:
             raise ValueError(f"bad local spec {source!r}: {x!r} is not an integer")
     if group is not None and not isinstance(group, str):
         raise ValueError(f"bad local spec {source!r}: D must be a group spec string")
-    spec = LocalExtensionSpec(
+    return LocalExtensionSpec(
         p=int(p),
         e=int(e),
         f=int(f),
         group_spec=None if group is None else parse_group_spec(group),
     )
-    spec.validate()
-    return spec
 
 
 def parse_local_spec(text: str) -> LocalExtensionSpec:
@@ -268,10 +267,9 @@ def grunwald_feasible(
     a tame pair over p whose inertia has order e and whose sigma-image has
     order f in D/<tau>; equivalently |D| = e*f.  A prescribed D must match
     by its presentation (see _problem_feasible).  The overall answer is the
-    conjunction, one prime at a time.  Wild problems (p | e) raise.
+    conjunction, one prime at a time.  A wild problem (p | e) raises when
+    its LocalExtensionSpec is built.
     """
-    for spec in problems:
-        spec.validate()
     feas = [_problem_feasible(g, spec) for spec in problems]
     return GrunwaldFeasibility(problems=list(problems), feasible=feas)
 

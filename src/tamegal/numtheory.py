@@ -136,8 +136,6 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
     stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m >= _PSI[-1] and math.gcd(m, _MR_BASES_PRODUCT) == 1:  # is_prime refuses m
             raise ValueError(f"{n} cannot be factored: its cofactor {m} >= psi_13 = "
                              f"{_PSI[-1]} has no prime factor below 43")
@@ -180,18 +178,6 @@ def is_prime_power(n: int) -> bool:
     return n >= 2 and len(factorize(n)) == 1
 
 
-def valuation(n: int, p: int) -> int:
-    """Exponent of p in n; n must be nonzero."""
-    n = abs(int(n))
-    if n == 0:
-        raise ValueError("valuation of zero is undefined")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def parse_rational(text: str) -> Fraction:
     """The rational written as text ("a", "a/b" or a decimal), as Fraction
     reads it; a zero denominator is refused with ValueError, not
@@ -211,20 +197,21 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
-def rational_valuation(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
+def p_split(x: int | Fraction, p: int) -> tuple[int, int]:
+    """The p-adic split x = p^v * u of a nonzero int or Fraction x, u a
+    p-unit, as (v, u mod p): v = v_p(x), and u mod p the residue of x / p^v.
+    One pass strips p from the numerator and from the denominator."""
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ValueError("valuation of zero is undefined")
-    return valuation(x.numerator, p) - valuation(x.denominator, p)
-
-
-def unit_residue(x: Fraction, p: int) -> int:
-    """Residue mod p of the p-unit part of x, i.e. of x / p^v_p(x)."""
-    x = Fraction(x)
-    num = x.numerator // p ** valuation(x.numerator, p)
-    den = x.denominator // p ** valuation(x.denominator, p)
-    return num * pow(den, -1, p) % p
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num * pow(den, -1, p) % p
 
 
 def _order_from_multiple(a: int, n: int, m: int) -> int:
@@ -243,8 +230,6 @@ def _order_from_multiple(a: int, n: int, m: int) -> int:
 def multiplicative_order_mod(a: int, n: int) -> int:
     """Order of a in (Z/n)^*, divided down from phi(n)."""
     n = int(n)
-    if n == 1:
-        return 1
     a = int(a) % n
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
@@ -277,4 +262,4 @@ def is_squarefree(n: int) -> bool:
     n = abs(int(n))
     if n == 0:
         return False
-    return all(a == 1 for a in factorize(n).values()) if n > 1 else True
+    return all(a == 1 for a in factorize(n).values())

@@ -70,7 +70,7 @@ def kummer_local_invariants(p: int, d: int, v: int, w: int) -> KummerLocalInvari
     if w == 0:
         raise ValueError("unit representative must be nonzero")
 
-    f0 = numtheory.multiplicative_order_mod(p % d, d) if d > 1 else 1
+    f0 = numtheory.multiplicative_order_mod(p % d, d)
     e = d // math.gcd(d, v)
     n_w = _unit_order_mod_dth_powers(w, p, d, f0)
     n = math.lcm(n_w, e)

@@ -72,7 +72,7 @@ def predicted_stratum_density(d: int, e: int) -> Fraction:
         raise ValueError(f"e={e} must divide d={d}")
     density = Fraction(1)
     for p, k in numtheory.factorize(d).items():
-        j = numtheory.valuation(e, p)
+        j = numtheory.factorize(e).get(p, 0)
         if j == 0:
             hits = p ** (k - 1) * (p - 2)
         elif j < k:
@@ -93,7 +93,7 @@ def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:
     if d >= 2**63:
         raise ValueError(f"d={d} must be below 2^63, the range of the sieve's int64 primes")
     primes = numtheory.primes_upto(bound)[1:]  # the odd primes
-    primes = primes[d % primes != 0] if d > 1 else primes
+    primes = primes[d % primes != 0]
     members = primes[(primes - 1) % e == 0]
     for ell in numtheory.factorize(d // e):
         members = members[(members - 1) % (ell * e) != 0]

@@ -483,3 +483,37 @@ def test_pair_and_meeting_stdout_is_byte_identical(capsys):
         assert code == 0, cmd
         got[cmd] = hashlib.sha256(out.encode()).hexdigest()
     assert got == PAIR_AND_MEETING_STDOUT_SHA256
+
+
+# sha256 of stdout for trivial groups and moduli 1 and 2, for a specialization
+# with a p-adic denominator, and for sweeps with a composite d and a rational
+# c, recorded while numtheory split a rational at p by three functions and the
+# order-1 and modulus-1 cases had branches of their own.
+SPLIT_AND_TRIVIAL_STDOUT_SHA256 = {
+    "classify C1": "700c85b630f51c7124e330bad4aa5317e669643dd1f99e780fd71a634079c659",
+    "obstructions C1": "0e69c5348175eca9277cfd5690fbec3f92bc6f29727dbea80ed51b94c14e6766",
+    "classify SD:1,4,3": "36d6fca2d3e7dcfcb11e566beb4ee13e31ca498bf28feab27937951c321036f9",
+    "classify D1": "e8da835a05ff754ffee38b32c5f278e1a11f7d544a8c1c6eb26b11de8270a5c6",
+    "classify X:C1*C1": "861c5617dbdb00248292b304bc313b74d9cc62b163e7085b39a7c0a6a7cb6931",
+    "tame-pairs C1 3": "99319fa2453133461a6d4e9824d1258e7b52adc0389d163a56dfb3e03777e056",
+    "grunwald C1 --at 3,1,1": "b004dc0ffac626ebac19c43df879cc37800a0a7cfde2cc48b220c6130e356bf8",
+    "oracle --p 5 --d 1 --v 3 --w 2": "3f597086221c02fc74a0b4d1ce4929e1ec372a946183ac8ed4286279fc6d0817",
+    "oracle --p 2 --d 1 --v 0 --w 1": "af2d547c3c9467923780c67b29afe43f2711e006884ee63ef31edea5a80a3805",
+    "strata 1 1 --bound 100": "5073a16c0d347b15d02712a84439543a79fffa1149d93452a415c082876a6370",
+    "strata 2 1 --bound 100": "bb2da503221b1565ce65a7bc2100c385e78eecff1095ed71006d5538e833221b",
+    "specialize d=12,m=4,c=5 --t0 7/25 --p 7":
+        "24984324ceb18e59b40ad8f06cd50d6a49b98fe8e112a26b6d6bbf6f22b3626a",
+    "verify-beckmann d=60,m=6,c=3 --primes 100000 --samples 300 --seed 4":
+        "e5061d004053f5f1cd6e8a6467b13ba22c5599e92e765e48b20ef83b9c8b9a5c",
+    "--csv verify-beckmann d=12,m=4,c=5/9 --primes 1000 --samples 300 --seed 2":
+        "0e810c146e690d046267f24717d6e2ada3477e18523b3da21f8f9704a5f99d8f",
+}
+
+
+def test_split_and_trivial_stdout_is_byte_identical(capsys):
+    got = {}
+    for cmd in SPLIT_AND_TRIVIAL_STDOUT_SHA256:
+        code, out, _ = run_cli(capsys, *cmd.split())
+        assert code == 0, cmd
+        got[cmd] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == SPLIT_AND_TRIVIAL_STDOUT_SHA256

@@ -140,6 +140,18 @@ def test_sweep_laws_general_family(cover):
             assert r.oracle_e == 1
 
 
+def ref_split(x, p):
+    """(v_p(x), residue mod p of x / p^v) for a nonzero rational x, by
+    dividing the Fraction x itself by p, or multiplying it, until p leaves
+    its numerator and its denominator."""
+    x, v = Fraction(x), 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v, x.numerator * pow(x.denominator, -1, p) % p
+
+
 def test_scaling_invariance():
     rng = random.Random(23)
     cover = cv.KummerCover(6, 1, Fraction(5))
@@ -152,7 +164,7 @@ def test_scaling_invariance():
         if t0 == 0:
             continue
         u = Fraction(rng.randint(1, 50), rng.randint(1, 50))
-        while nt.rational_valuation(u, p) != 0:
+        while ref_split(u, p)[0] != 0:
             u = Fraction(rng.randint(1, 50), rng.randint(1, 50))
         base = cv.verify_beckmann(cover, t0, p)
         scaled = cv.verify_beckmann(cover, t0 * u**cover.d, p)
@@ -254,8 +266,7 @@ def test_sample_points_refuses_when_every_prime_is_exceptional(spec, bound):
 def ref_oracle(cover, t0, p):
     """The oracle's (e, f) as first written: v and w read off the Fraction
     u = c*t0^m."""
-    u = cover.c * Fraction(t0) ** cover.m
-    inv = kummer_local_invariants(p, cover.d, nt.rational_valuation(u, p), nt.unit_residue(u, p))
+    inv = kummer_local_invariants(p, cover.d, *ref_split(cover.c * Fraction(t0) ** cover.m, p))
     return inv.e, inv.f
 
 
@@ -301,3 +312,34 @@ def test_oracle_agrees_at_wild_prime_is_rejected():
     cover = cv.KummerCover(9, 1, Fraction(1))
     with pytest.raises(Exception):
         cv.verify_beckmann(cover, Fraction(5), 3)  # 3 divides d: wild for the oracle
+
+
+def test_predictor_and_oracle_agree_on_every_class_at_each_prime():
+    """Exact agreement at each non-exceptional p < 200 on the ten kummer-sweep
+    covers, in place of samples.  At such a p the predictor's answer depends
+    only on v = v_p(t0), and the oracle's on v and on the class of the unit
+    residue w(t0) in F_p^* / (F_p^*)^g, g = gcd(d, p - 1), since the d-th
+    powers of F_p^* are its g-th powers.  Both repeat in v with period d.  So
+    t0 = p^v * r^i, with v in -d..d and i < g for a primitive root r mod p,
+    covers every t0 in Q^* at p, and every multiplicity k = |v| up to d."""
+    ops, reached = 0, set()
+    for spec, _ in _SAMPLED_COVERS[:10]:
+        cover = cv.parse_cover_spec(spec)
+        e_i = cover.branch_inertia_order
+        for p in nt.primes_upto(199).tolist():
+            if cover.is_exceptional(p):
+                continue
+            r = next(r for r in range(2, p) if len({pow(r, k, p) for k in range(p - 1)}) == p - 1)
+            for v in range(-cover.d, cover.d + 1):
+                for i in range(math.gcd(cover.d, p - 1)):
+                    t0 = Fraction(r**i * p ** max(v, 0), p ** max(-v, 0))
+                    rep = cv.verify_beckmann(cover, t0, p)
+                    assert rep.agree and not rep.exceptional, rep.as_dict()
+                    reached.add((e_i, math.gcd(e_i, abs(v))))
+                    ops += 1
+    assert ops == 87565
+    # all 24 (e_i, gcd(e_i, k)) of the ten covers, among them the gcds 4, 5, 6,
+    # 9, 10 and 27 that sampled points, with k at most 3, never reach
+    assert reached == {
+        (e, g) for e in (2, 3, 4, 5, 6, 9, 10, 27) for g in range(1, e + 1) if e % g == 0
+    }

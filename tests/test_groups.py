@@ -736,7 +736,7 @@ def ref_sylow_subgroup(g, p):
     proper subgroup of some Sylow S and N_S(P) > P, and <P, x> = P<x> is
     again a p-group.  Asserts that the result is closed, of order p^a."""
     n, t = g.order, g.table
-    target = p ** nt.valuation(n, p)
+    target = max(p**a for a in range(n.bit_length()) if n % p**a == 0)
     orders = g.orders
     pelems = np.flatnonzero(target % orders == 0)
     pelems = pelems[np.argsort(-orders[pelems], kind="stable")]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -226,8 +227,20 @@ def test_grunwald_infeasible_when_no_subgroup_fits():
 
 
 def test_grunwald_wild_rejected():
-    with pytest.raises(lt.WildRamificationError):
-        lt.grunwald_feasible(G.cyclic(4), [lt.LocalExtensionSpec(2, 4, 1)])
+    # a wild spec raises when it is built, before grunwald_feasible sees it
+    with pytest.raises(lt.WildRamificationError, match="p=2 divides e=4"):
+        lt.LocalExtensionSpec(2, 4, 1)
+    for p, e, f in ((4, 3, 1), (1, 1, 1), (5, 0, 1), (5, 1, 0)):
+        with pytest.raises(ValueError, match="not prime|must be positive"):
+            lt.LocalExtensionSpec(p, e, f)
+
+
+def test_local_spec_is_frozen():
+    # a checked spec cannot be made wild afterwards
+    spec = lt.LocalExtensionSpec(5, 4, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.p = 2
+    assert lt.grunwald_feasible(G.cyclic(4), [spec]).feasible == [True]
 
 
 def test_grunwald_with_group_constraint():

@@ -145,17 +145,40 @@ def test_divisors():
     assert nt.divisors(1) == [1]
 
 
-def test_valuations():
-    assert nt.valuation(49 * 3, 7) == 2
-    assert nt.rational_valuation(Fraction(49, 3), 7) == 2
-    assert nt.rational_valuation(Fraction(3, 125), 5) == -3
-    with pytest.raises(ValueError):
-        nt.rational_valuation(Fraction(0), 5)
-
-
-def test_unit_residue():
+def test_p_split():
+    assert nt.p_split(49 * 3, 7) == (2, 3)
+    assert nt.p_split(Fraction(49, 3), 7) == (2, 5)  # 3 * 5 = 1 mod 7
+    assert nt.p_split(Fraction(3, 125), 5) == (-3, 3)
     # 50/3 = 2 * 5^2 / 3; unit part mod 5 is 2 * 3^-1 = 4
-    assert nt.unit_residue(Fraction(50, 3), 5) == (2 * pow(3, -1, 5)) % 5
+    assert nt.p_split(Fraction(50, 3), 5) == (2, (2 * pow(3, -1, 5)) % 5)
+    # ints, negatives, and x prime to p
+    assert nt.p_split(1, 5) == (0, 1)
+    assert nt.p_split(-12, 2) == (2, 1)
+    assert nt.p_split(-12, 3) == (1, 2)  # -4 = 2 mod 3
+    assert nt.p_split(Fraction(-7, 18), 3) == (-2, 1)  # -7/2 = 1 mod 3
+    assert nt.p_split(Fraction(-5, 4), 7) == (0, -5 * pow(4, -1, 7) % 7)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="valuation of zero is undefined"):
+            nt.p_split(zero, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    den=st.integers(min_value=1, max_value=10**6),
+    p=st.sampled_from([2, 3, 5, 7, 97, 65537]),
+    j=st.integers(min_value=-12, max_value=12),
+)
+def test_p_split_of_a_shift(num, den, p, j):
+    x = Fraction(num, den)
+    v, w = nt.p_split(x, p)
+    # x / p^v has p in neither numerator nor denominator, and w is its residue
+    unit = x / Fraction(p) ** v
+    assert unit.numerator % p and unit.denominator % p
+    assert (unit.numerator - w * unit.denominator) % p == 0 and 0 < w < p
+    assert nt.p_split(x * Fraction(p) ** j, p) == (v + j, w)
+    if den == 1:
+        assert nt.p_split(num, p) == (v, w)
 
 
 def test_multiplicative_order_mod():
