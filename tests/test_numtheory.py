@@ -145,12 +145,20 @@ def test_divisors():
     assert nt.divisors(1) == [1]
 
 
-def test_p_split():
+def test_valuations():
     assert nt.p_split(49 * 3, 7) == (2, 3)
     assert nt.p_split(Fraction(49, 3), 7) == (2, 5)  # 3 * 5 = 1 mod 7
     assert nt.p_split(Fraction(3, 125), 5) == (-3, 3)
+    with pytest.raises(ValueError):
+        nt.p_split(Fraction(0), 5)
+
+
+def test_unit_residue():
     # 50/3 = 2 * 5^2 / 3; unit part mod 5 is 2 * 3^-1 = 4
     assert nt.p_split(Fraction(50, 3), 5) == (2, (2 * pow(3, -1, 5)) % 5)
+
+
+def test_p_split():
     # ints, negatives, and x prime to p
     assert nt.p_split(1, 5) == (0, 1)
     assert nt.p_split(-12, 2) == (2, 1)
