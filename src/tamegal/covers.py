@@ -5,8 +5,9 @@ and t = infinity, each with inertia order d/gcd(d, m).  That makes the
 specialization-inertia machinery fully checkable: from the p-adic distance
 between the specialization point t0 and a branch point (an intersection
 multiplicity) the local invariants (e, f) of the specialized extension at p
-are predicted, and an independent finite-field oracle recomputes them from
-X^d - c*t0^m directly.
+are predicted, and the finite-field oracle recomputes them from X^d - c*t0^m
+directly.  The predictor shares with the oracle only the numtheory primitives
+is_prime, p_split, factorize and multiplicative_order_mod.
 
 Primes dividing 2, d, or the numerator or denominator of c are declared
 exceptional up front; the prediction laws hold away from finitely many primes
@@ -115,17 +116,20 @@ class Prediction:
 
 
 def _branch_residue_degree(cover: KummerCover, p: int) -> int:
-    """Residue degree at p of the constant field attached to the branch
-    points: the splitting field of X^g - c joined with the d-th roots of
-    unity, where g = gcd(d, m).  Both layers are unramified at a
-    non-exceptional p, so the degree is an lcm."""
-    g = math.gcd(cover.d, cover.m)
-    f_cyc = numtheory.multiplicative_order_mod(p % cover.d, cover.d)
+    """Residue degree at p of the branch points' constant field: F_p(mu_d)
+    and the roots of X^g - c, g = gcd(d, m).  Let f = ord_d(p), q = p^f, so
+    F_p(mu_d) = F_q holds mu_g, as g | d.  The roots of X^g - c lie in F_(q^n)
+    iff c^((q^n - 1)/g) = 1 mod p, an exponent read mod p - 1 off q^n mod
+    g(p - 1).  The valid n are the multiples of the Kummer degree, which
+    divides g, so the search ends at n = g at the latest."""
+    d, g = cover.d, math.gcd(cover.d, cover.m)
+    f = numtheory.multiplicative_order_mod(p % d, d)
     if g == 1:
-        return f_cyc
+        return f
     w = numtheory.p_split(cover.c, p)[1]
-    f_const = kummer_local_invariants(p, g, 0, w).f
-    return math.lcm(f_cyc, f_const)
+    return f * next(
+        n for n in numtheory.divisors(g) if pow(w, (pow(p, f * n, g * (p - 1)) - 1) // g, p) == 1
+    )
 
 
 def predict_specialization(cover: KummerCover, t0, p: int) -> Prediction:
@@ -209,8 +213,7 @@ def verify_beckmann(cover: KummerCover, t0, p: int) -> SpecializationReport:
     t0 = Fraction(t0)
     pred = predict_specialization(cover, t0, p)
     (vc, wc), (vt, wt) = numtheory.p_split(cover.c, p), numtheory.p_split(t0, p)
-    m = cover.m
-    inv = kummer_local_invariants(p, cover.d, vc + m * vt, wc * pow(wt, m, p) % p)
+    inv = kummer_local_invariants(p, cover.d, vc + cover.m * vt, wc * pow(wt, cover.m, p) % p)
     return SpecializationReport(
         cover=cover,
         t0=t0,

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import numtheory
 from .groups import FiniteGroup, parse_group_spec
+from .numtheory import is_rational_square  # re-exported for the CLI
 from .padic_oracle import WildRamificationError
 
 
@@ -275,10 +276,6 @@ def grunwald_feasible(
 
 
 # ---------------------------------------------------------------------------
-
-
-def is_rational_square(a) -> bool:
-    return numtheory.is_rational_square(Fraction(a))
 
 
 def c4_embeddable_quadratic(a) -> bool:

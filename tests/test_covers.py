@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -5,8 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from test_padic_oracle import _count_roots_in_field
+
 from tamegal import covers as cv
 from tamegal import numtheory as nt
+from tamegal import padic_oracle
+from tamegal.groups import parse_group_spec
+from tamegal.local_tame import LocalExtensionSpec, grunwald_feasible
 from tamegal.padic_oracle import kummer_local_invariants
 
 
@@ -72,6 +78,54 @@ def test_predict_examples():
 
     with pytest.raises(ValueError):
         cv.predict_specialization(cv.KummerCover(3, 1, Fraction(1)), Fraction(0), 7)
+
+
+def test_branch_residue_degree_by_root_counts():
+    """Ground truth for the predictor's residue degree, without the oracle:
+    for g = gcd(d, m) > 1, every unit c mod a small p with p not dividing 2d,
+    the least k such that the field of p^k elements holds d roots of X^d = 1
+    and g roots of X^g = c, found by enumerating that field."""
+    count = functools.cache(_count_roots_in_field)
+    checked = beyond_cyclotomic = 0
+    for d, m in ((2, 2), (3, 3), (4, 2), (4, 4), (6, 2), (6, 3), (6, 6), (9, 3), (12, 6), (12, 8)):
+        g = math.gcd(d, m)
+        for p in nt.primes_upto(13).tolist():
+            if 2 * d % p == 0:
+                continue
+            for c in range(1, p):
+                k = 1
+                while p**k <= 10**5 and not (count(p, k, d, 1) == d and count(p, k, g, c) == g):
+                    k += 1
+                if p**k > 10**5:
+                    continue  # splitting field too big to enumerate
+                assert cv._branch_residue_degree(cv.KummerCover(d, m, Fraction(c)), p) == k, (
+                    d, m, c, p
+                )
+                checked += 1
+                beyond_cyclotomic += k > nt.multiplicative_order_mod(p % d, d)
+    assert checked == 302 and beyond_cyclotomic == 96
+
+
+def test_predictor_answers_without_the_oracle(monkeypatch):
+    """The predictor calls no oracle code: with kummer_local_invariants made
+    to raise, it still answers on the ten kummer-sweep covers, and as the
+    oracle does."""
+    reports = [
+        cv.verify_beckmann(cover, t0, p)
+        for cover in (cv.parse_cover_spec(spec) for spec, _ in _SAMPLED_COVERS[:10])
+        for t0, p in cv.sample_points(cover, 10**6, 100, 7)
+    ]
+
+    def no_oracle(*args):
+        raise AssertionError("the predictor called the oracle")
+
+    monkeypatch.setattr(cv, "kummer_local_invariants", no_oracle)
+    monkeypatch.setattr(padic_oracle, "kummer_local_invariants", no_oracle)
+    for r in reports:
+        pred = cv.predict_specialization(r.cover, r.t0, r.p)
+        assert r.agree and (pred.predicted_e, pred.predicted_f) == (r.predicted_e, r.predicted_f)
+    # the covers with gcd(d, m) > 1 reach the constant-field search
+    assert any(r.predicted_f is not None and r.cover.m > 1 for r in reports)
 
 
 def test_exceptional_primes_declared():
@@ -314,19 +368,23 @@ def test_oracle_agrees_at_wild_prime_is_rejected():
         cv.verify_beckmann(cover, Fraction(5), 3)  # 3 divides d: wild for the oracle
 
 
-def test_predictor_and_oracle_agree_on_every_class_at_each_prime():
-    """Exact agreement at each non-exceptional p < 200 on the ten kummer-sweep
-    covers, in place of samples.  At such a p the predictor's answer depends
-    only on v = v_p(t0), and the oracle's on v and on the class of the unit
+def every_class_agreement(prime_bound: int) -> int:
+    """Exact agreement at each non-exceptional p <= prime_bound on the ten
+    kummer-sweep covers, in place of samples; returns the number of
+    verify_beckmann calls.  At such a p the predictor's answer depends only
+    on v = v_p(t0), and the oracle's on v and on the class of the unit
     residue w(t0) in F_p^* / (F_p^*)^g, g = gcd(d, p - 1), since the d-th
     powers of F_p^* are its g-th powers.  Both repeat in v with period d.  So
     t0 = p^v * r^i, with v in -d..d and i < g for a primitive root r mod p,
-    covers every t0 in Q^* at p, and every multiplicity k = |v| up to d."""
+    covers every t0 in Q^* at p, and every multiplicity k = |v| up to d.
+
+    Tier-1 runs it at p < 200 (87,565 calls, a few seconds); the CI workflow
+    also runs it at p < 1000 (347,551 calls), as a step of its own."""
     ops, reached = 0, set()
     for spec, _ in _SAMPLED_COVERS[:10]:
         cover = cv.parse_cover_spec(spec)
         e_i = cover.branch_inertia_order
-        for p in nt.primes_upto(199).tolist():
+        for p in nt.primes_upto(prime_bound).tolist():
             if cover.is_exceptional(p):
                 continue
             r = next(r for r in range(2, p) if len({pow(r, k, p) for k in range(p - 1)}) == p - 1)
@@ -337,9 +395,50 @@ def test_predictor_and_oracle_agree_on_every_class_at_each_prime():
                     assert rep.agree and not rep.exceptional, rep.as_dict()
                     reached.add((e_i, math.gcd(e_i, abs(v))))
                     ops += 1
-    assert ops == 87565
     # all 24 (e_i, gcd(e_i, k)) of the ten covers, among them the gcds 4, 5, 6,
     # 9, 10 and 27 that sampled points, with k at most 3, never reach
     assert reached == {
         (e, g) for e in (2, 3, 4, 5, 6, 9, 10, 27) for g in range(1, e + 1) if e % g == 0
     }
+    return ops
+
+
+def test_predictor_and_oracle_agree_on_every_class_at_each_prime():
+    assert every_class_agreement(199) == 87565
+
+
+def _holomorph_spec(d: int) -> str:
+    """Hol(C_d) = C_d x| (Z/d)^* as a group spec: SD:d,phi(d),r for a
+    primitive root r mod d, or for d = 12 and 60, where (Z/d)^* is not
+    cyclic, the product of the holomorphs of the prime-power parts."""
+    if d in (12, 60):
+        return "X:SD:4,2,3*SD:3,2,2" + "*SD:5,4,2" * (d == 60)
+    phi = math.prod(q ** (k - 1) * (q - 1) for q, k in nt.factorize(d).items())
+    r = next(r for r in range(1, d + 1) if math.gcd(r, d) == 1 and nt.multiplicative_order_mod(r, d) == phi)
+    return f"SD:{d},{phi},{r}"
+
+
+def test_every_specialization_is_a_feasible_local_problem():
+    """The splitting field of X^d - u over Q_p has Galois group D inside
+    Hol(C_d), acting on the roots zeta^i * alpha.  For p not dividing d, D is
+    tame, generated by a tame pair with ord(tau) = e and |D| = e*f.  So each
+    non-exceptional oracle answer (e, f) at p is a feasible local problem for
+    Hol(C_d): this ties padic_oracle to local_tame, which share only
+    numtheory.  Feasibility depends on p only through p mod |G|.
+
+    The converse does not hold, and is not asserted: every Kummer D maps onto
+    Gal(Q_p(mu_d)/Q_p), while a feasible subgroup of order e*f need not."""
+    feasible, reports = {}, 0
+    for i, (spec, bound) in enumerate(_SAMPLED_COVERS[:10]):
+        cover = cv.parse_cover_spec(spec)
+        hol = parse_group_spec(_holomorph_spec(cover.d))
+        for r in cv.sweep(cover, bound, 1500, seed=i)[0]:
+            if r.exceptional:
+                continue
+            key = (cover.d, r.p % hol.order, r.oracle_e, r.oracle_f)
+            if key not in feasible:
+                problem = LocalExtensionSpec(r.p, r.oracle_e, r.oracle_f)
+                feasible[key] = grunwald_feasible(hol, [problem]).all_feasible
+            reports += 1
+    assert (reports, len(feasible)) == (15000, 1655)
+    assert all(feasible.values())
