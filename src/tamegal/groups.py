@@ -14,11 +14,11 @@ free of any external group database.  Three algorithms carry the work:
   order P coprime to its index is {x : ord(x) | P}, and its complements are
   conjugate (Schur-Zassenhaus), so one complement decides.
 
-Sylow shapes need no subgroup (see :func:`sylow_shape`): a Sylow p-subgroup
-has order p^a for p^a || n, it is cyclic iff some element has order p^a, and
-a non-cyclic Sylow 2-subgroup is generalized quaternion iff its involution
-is unique, that is iff the first involution z of G commutes with no other
-involution (Gorenstein, *Finite Groups*, Thm 5.4.10(ii)).
+One row of the table decides whether G contains C_q x C_q, and so both the
+obstruction witness and the quaternion Sylow shape (:func:`_rank_two_pair`).
+No Sylow shape needs a subgroup: a Sylow p-subgroup, of order p^a for
+p^a || n, is cyclic iff some element has order p^a, and if not, for p = 2,
+it is generalized quaternion iff G contains no C_2 x C_2 (Gorenstein).
 
 Any group can also come from a JSON file (see :func:`parse_group_spec`): an
 object whose "table" is a square array of arrays of non-negative JSON
@@ -277,6 +277,26 @@ def _is_latin_square(t: np.ndarray) -> bool:
         if not seen.all():
             return False
     return True
+
+
+def _greedy_generators(g: FiniteGroup) -> list[int]:
+    """Generators chosen greedily: each is the unreached element of highest
+    order (lowest index on ties), and the reached set is their
+    `subgroup_closure`, whose every element is a product of the generators
+    even on a table that is no group.  In a group each new generator at least
+    doubles the reached subgroup, so a table needing more than log2(order)
+    generators is no group.
+    """
+    orders = g.orders
+    reached = np.zeros(g.order, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        if len(gens) == g.order.bit_length() - 1:
+            raise GroupError("associativity fails: too many generators for a group")
+        gens.append(int(np.argmax(np.where(reached, 0, orders))))
+        reached[g.subgroup_closure(gens)] = True
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +648,26 @@ class ClassificationReport:
 # operations
 
 
+def _rank_two_pair(g: FiniteGroup, q: int) -> tuple[int, int] | None:
+    """(a, b) with a the first element of order q and b the first element of
+    order q outside <a> that commutes with a, or None if there is none; q is
+    a prime dividing |G|.  It reads a's row, a's column and <a>: O(n).
+
+    Such a b exists iff G contains C_q x C_q, and then (a, b) is the first
+    pair (x, y) of elements of order q, row-major, with xy = yx and y outside
+    <x>.  For let T be a Sylow q-subgroup containing a.  A conjugate of T
+    contains C_q x C_q, so T has a subgroup of order q other than <a>.  Z(T)
+    has a subgroup Z of order q.  If Z != <a>, a generator of Z commutes with
+    a and lies outside <a>; if Z = <a>, a is central in T, and every element
+    of order q of T outside <a> commutes with a.
+    """
+    elems = np.flatnonzero(g.orders == q)
+    a, t, inside = int(elems[0]), g.table, np.zeros(g.order, dtype=bool)
+    inside[g.cyclic_subgroup(a)] = True
+    partners = elems[(t[a, elems] == t[elems, a]) & ~inside[elems]]
+    return (a, int(partners[0])) if partners.size else None
+
+
 def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
     """Witnesses that rule the group out of the real-base eligibility class.
 
@@ -637,25 +677,11 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
     """
     out = []
     orders = g.orders
-
-    witness = None
     for q in sorted(numtheory.factorize(g.order)):
-        elems = np.flatnonzero(orders == q)
-        if elems.size <= q - 1:
-            continue  # a single C_q at most
-        member = np.zeros((elems.size, g.order), dtype=bool)
-        rows, pw = np.arange(elems.size), np.zeros_like(elems)
-        for _ in range(q):  # member[i] marks the powers of elems[i]
-            member[rows, pw] = True
-            pw = g.table[pw, elems]
-        prods = g.table[np.ix_(elems, elems)]
-        viol = (prods == prods.T) & ~member[:, elems]
-        if viol.any():
-            i, j = divmod(int(viol.argmax()), elems.size)  # the first pair, row-major
-            witness = (int(elems[i]), int(elems[j]))
+        pair = _rank_two_pair(g, q)
+        if pair is not None:
+            out.append(ObstructionWitness(NON_CYCLIC_ABELIAN, pair))
             break
-    if witness is not None:
-        out.append(ObstructionWitness(NON_CYCLIC_ABELIAN, witness))
 
     composite_orders = [
         o for o in np.unique(orders).tolist() if numtheory.prime_divisor_count(o) >= 2
@@ -672,20 +698,15 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
 
 def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
     """The shape of a Sylow p-subgroup T, read from element orders and one
-    centralizer row; no subgroup is built.  With p^a || n, T has order p^a
+    row of the table; no subgroup is built.  With p^a || n, T has order p^a
     (Sylow), and:
 
     * Cyclic iff some element has order p^a;
-    * GeneralizedQuaternion iff p = 2, T is not cyclic and z = invs[0], the
-      first involution, is the only involution that commutes with z.  A
-      non-cyclic 2-group with a unique involution is generalized quaternion
-      (Gorenstein, *Finite Groups*, Thm 5.4.10(ii)), and T has a unique
-      involution iff z is the only involution in its centralizer.  Take T
-      containing z.  If T has a second involution, Z(T) holds an involution
-      z'; if z' != z it commutes with z, and if z' = z then z commutes with
-      the second one.  Conversely an involution x != z that commutes with z
-      gives a Klein four-group <x, z>, which lies in a Sylow 2-subgroup, a
-      conjugate of T, so T has more than one involution.  Any z will do;
+    * GeneralizedQuaternion iff p = 2, T is not cyclic and G contains no
+      C_2 x C_2 (see :func:`_rank_two_pair`).  Then T contains none, so its
+      involution is unique (a central one and any other make a C_2 x C_2),
+      and a non-cyclic 2-group with a unique involution is generalized
+      quaternion (Gorenstein, *Finite Groups*, Thm 5.4.10(ii));
     * Other in every remaining case.
     """
     if not numtheory.is_prime(p):
@@ -693,14 +714,10 @@ def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
     if g.order % p:
         raise GroupError(f"{p} does not divide the group order {g.order}")
     target = p ** numtheory.factorize(g.order)[p]
-    orders, t = g.orders, g.table
-    if (orders == target).any():
+    if (g.orders == target).any():
         return SylowShape(SYLOW_CYCLIC, target)
-    if p == 2:
-        invs = np.flatnonzero(orders == 2)
-        z = invs[0]
-        if np.count_nonzero(t[invs, z] == t[z, invs]) == 1:
-            return SylowShape(SYLOW_GENERALIZED_QUATERNION, target)
+    if p == 2 and _rank_two_pair(g, 2) is None:
+        return SylowShape(SYLOW_GENERALIZED_QUATERNION, target)
     return SylowShape(SYLOW_OTHER, target)
 
 
@@ -793,26 +810,6 @@ def _fingerprint(g: FiniteGroup):
         g.is_abelian,
         int(g.center().size),
     )
-
-
-def _greedy_generators(g: FiniteGroup) -> list[int]:
-    """Generators chosen greedily: each is the unreached element of highest
-    order (lowest index on ties), and the reached set is their
-    `subgroup_closure`, whose every element is a product of the generators
-    even on a table that is no group.  In a group each new generator at least
-    doubles the reached subgroup, so a table needing more than log2(order)
-    generators is no group.
-    """
-    orders = g.orders
-    reached = np.zeros(g.order, dtype=bool)
-    reached[0] = True
-    gens: list[int] = []
-    while not reached.all():
-        if len(gens) == g.order.bit_length() - 1:
-            raise GroupError("associativity fails: too many generators for a group")
-        gens.append(int(np.argmax(np.where(reached, 0, orders))))
-        reached[g.subgroup_closure(gens)] = True
-    return gens
 
 
 def _extend_hom(phi: dict[int, int], new_g: int, new_h: int, g: FiniteGroup, h: FiniteGroup):

@@ -136,8 +136,9 @@ def parse_local_spec(text: str) -> LocalExtensionSpec:
     fields: dict[str, str] = {}
     rest = text
     while rest:
-        if rest.startswith("D="):
-            fields["D"] = rest[2:]
+        key, eq, val = rest.partition("=")
+        if eq and key.strip() == "D":  # D comes last, and its value may hold commas
+            fields["D"] = val
             break
         part, _, rest = rest.partition(",")
         key, eq, val = part.partition("=")

@@ -5,7 +5,7 @@ their product rules out their multiples.  Below psi_k, the least strong
 pseudoprime to the first k prime bases, those k bases decide (Jaeschke 1993;
 Sorenson and Webster 2017), so every n below psi_13 ~ 3.3 * 10^24 is decided
 exactly; a larger n is refused unless one of the bases divides it.  Factoring
-uses Brent's cycle variant of Pollard rho.  Everything here is exact integer
+uses Pollard rho with Floyd's cycle finding.  Everything here is exact integer
 arithmetic.
 
 The prime sieve is cached per limit and shared by every caller, so the
@@ -108,8 +108,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of composite n."""
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of composite n, by Pollard rho on x -> x^2 + c with
+    Floyd's cycle finding: x takes one step and y two, with a gcd per step."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -142,7 +143,7 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_brent(m)
+        d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
     return tuple(sorted(out.items()))

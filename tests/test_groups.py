@@ -390,13 +390,18 @@ def ref_non_cyclic_abelian_witness(g):
 
 
 def test_non_cyclic_abelian_witness_is_the_first_violating_pair():
+    """Also on the Sylow and kernel test groups, relabeled copies among them,
+    and three larger groups.  Their 43 witnesses cover both cases of the
+    proof in groups._rank_two_pair: the first element of order q is central
+    in a Sylow q-subgroup containing it in 40 and not in 3."""
+    larger = [G.parse_group_spec(s) for s in ("X:C8*D64", "SD:31,30,3", "X:C3*C3*C3*C3")]
     found = 0
-    for g in _group_corpus(128):
+    for g in itertools.chain(_group_corpus(128), _sylow_groups(), KERNEL_GROUPS, larger):
         got = [w.witness for w in G.detect_obstructions(g) if w.kind == G.NON_CYCLIC_ABELIAN]
         want = ref_non_cyclic_abelian_witness(g)
         assert got == ([want] if want else []), g.label
         found += want is not None
-    assert found > 100
+    assert found == 593 + 43
 
 
 def test_sylow_shape_examples():

@@ -269,6 +269,13 @@ def test_local_spec_parsing_and_batch(tmp_path):
     assert (spec.p, spec.e, spec.f, spec.group_spec) == (7, 3, 1, None)
     spec = lt.parse_local_spec("p=5,e=3,f=2,D=SD:7,3,2")
     assert spec.group_spec.order == 21
+    # whitespace before D and around its "=" as around p, e and f
+    for text in ("p=3, e=13, f=3, D=SD:13,3,9", "p=3,e=13,f=3,  D = SD:13,3,9 ", "p = 3 ,e=13,f=3,D =SD:13,3,9"):
+        spec = lt.parse_local_spec(text)
+        assert (spec.p, spec.e, spec.f, spec.group_spec.label) == (3, 13, 3, "SD:13,3,9"), text
+    for bad in ("p=3, e=13, f=3, D", "p=3, e=13, f=3, D="):
+        with pytest.raises(ValueError):
+            lt.parse_local_spec(bad)
     with pytest.raises(ValueError):
         lt.parse_local_spec("p=7,e=3")
     with pytest.raises(lt.WildRamificationError):

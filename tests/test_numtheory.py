@@ -90,7 +90,7 @@ PSI_13 = 3317044064679887385961981
 
 @pytest.mark.parametrize("psi", PSI)
 def test_is_prime_rejects_strong_pseudoprimes(psi):
-    f = nt._pollard_brent(psi)  # composite: Pollard rho finds a proper factor
+    f = nt._pollard_rho(psi)  # composite: Pollard rho finds a proper factor
     assert 1 < f < psi and psi % f == 0
     assert nt.is_prime(psi) is False
 
