@@ -5,9 +5,10 @@ identity, and table[i, j] is the index of the product.  Every predicate is
 decided exactly on the table (order cap 2048), which keeps the whole module
 free of any external group database.  Three algorithms carry the work:
 
-* element orders by prime descent: for each p^a || n, y = x^(n/p^a) by
-  binary powering, and the p-part of ord(x) is the least p^k with
-  y^(p^k) = 1;
+* element orders by prime descent from one chain of squares x^(2^i) shared
+  by every prime: for each p^a || n, y = x^(n/p^a) is a product of chain
+  entries, and the p-part of ord(x) is the least p^k with y^(p^k) = 1;
+  x^n = 1 is checked once, for the least prime;
 * subgroup closure by Dimino's algorithm: whole right cosets H*x are added,
   one gather each, with representatives closed under the generators;
 * the Frobenius search reads the kernel off the orders: a normal subgroup of
@@ -43,6 +44,7 @@ The three classification flags reported by :func:`classify`:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -136,16 +138,36 @@ class FiniteGroup:
         return self._inv
 
     def _power_data(self):
-        """Element orders by prime descent, cached in ``_pow``."""
+        """Element orders by prime descent from one shared chain of squares,
+        cached in ``_pow``.
+
+        The chain x^(2^i) runs to the highest bit of the largest n/p^a over
+        p^a || n, so a prime-power order builds none.  For each p, y =
+        x^(n/p^a) is the product of the chain entries at the set bits of
+        n/p^a, and the p-part of ord(x) is the least p^k with y^(p^k) = 1,
+        read off a - 1 descents y -> y^p.  One more descent for the least
+        prime gives x^n, which must be 1 for every x, or the table is
+        refused.  On a table not yet known to be associative these are
+        powers under one bracketing; Light's test in :meth:`check_table`
+        makes every bracketing agree.
+        """
         if self._pow is None:
-            n = self.order
+            t, n = self.table, self.order
             orders = np.ones(n, dtype=np.int64)
-            for p, a in numtheory.factorize(n).items():
-                y = self.powers(n // p**a)
-                for _ in range(a):
-                    orders[y != 0] *= p
+            parts = numtheory.factorize(n).items()
+            top = max((n // p**a for p, a in parts), default=1).bit_length()
+            chain = [np.arange(n)]  # chain[i] = x^(2^i)
+            while len(chain) < top:
+                chain.append(t[chain[-1], chain[-1]])
+            for i, (p, a) in enumerate(parts):
+                m = n // p**a
+                squares = [c for j, c in enumerate(chain) if m >> j & 1]
+                y = functools.reduce(lambda u, v: t[u, v], squares)  # x^m
+                orders[y != 0] *= p
+                for _ in range(a - 1):
                     y = self.powers(p, y)
-                if y.any():
+                    orders[y != 0] *= p
+                if i == 0 and self.powers(p, y).any():  # y^p = x^n
                     raise GroupError("associativity fails: an element order does not divide n")
             self._pow = orders
         return self._pow
@@ -581,6 +603,8 @@ class ObstructionWitness:
 
     def verify(self, g: FiniteGroup) -> bool:
         """Recompute the witness property directly from the Cayley table."""
+        if not all(0 <= x < g.order for x in self.witness):
+            return False
         if self.kind == NON_CYCLIC_ABELIAN:
             a, b = self.witness
             oa, ob = g.element_order(a), g.element_order(b)

@@ -44,6 +44,8 @@ class TamePair:
 
     def verify(self) -> bool:
         g = self.group
+        if not (0 <= self.sigma < g.order and 0 <= self.tau < g.order):
+            return False
         o_tau = g.element_order(self.tau)
         if math.gcd(o_tau, self.q) != 1:
             return False
@@ -169,7 +171,9 @@ def cyclic_tame_exists(q: int, d: int, e: int) -> bool:
     q, d, e = int(q), int(d), int(e)
     if not numtheory.is_prime(q):
         raise ValueError(f"{q} is not prime")
-    if e < 1 or d < 1 or d % e:
+    if d < 1:
+        raise ValueError(f"degree d={d} must be at least 1")
+    if e < 1 or d % e:
         raise ValueError(f"e={e} must divide d={d}")
     if math.gcd(d, q) != 1:
         raise ValueError(f"tame case only: gcd(d, q) = {math.gcd(d, q)} != 1")

@@ -68,6 +68,8 @@ def predicted_stratum_density(d: int, e: int) -> Fraction:
     j = v_p(e): units a mod p^k with min(v_p(a-1), k) = j number
     p^(k-1)(p-2) for j = 0, p^(k-j) - p^(k-j-1) for 0 < j < k and 1 for j = k.
     """
+    if d < 1:
+        raise ValueError(f"degree d={d} must be at least 1")
     if e < 1 or d % e:
         raise ValueError(f"e={e} must divide d={d}")
     density = Fraction(1)
@@ -88,7 +90,9 @@ def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:
     found by congruences on the cached sieve: e | p-1, and ell*e does not
     divide p-1 for each prime ell | d/e (see the module docstring)."""
     d, e, bound = int(d), int(e), int(bound)
-    if d < 1 or e < 1 or d % e:
+    if d < 1:
+        raise ValueError(f"degree d={d} must be at least 1")
+    if e < 1 or d % e:
         raise ValueError(f"e={e} must divide d={d}")
     if d >= 2**63:
         raise ValueError(f"d={d} must be below 2^63, the range of the sieve's int64 primes")

@@ -244,6 +244,15 @@ def test_strata_and_lemma32_refuse_moduli_beyond_int64(capsys):
     assert code == 0 and last_json(out)["result"]["count"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["local-cyclic", "3", "0", "1"], ["strata", "0", "1"], ["strata", "-6", "2"],
+], ids=["local-cyclic", "strata", "strata-negative"])
+def test_degrees_below_one_exit_1_naming_d(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"d={argv[-2]} must be at least 1" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, cap", [
     (["strata", "9", "3", "--bound", str(10**18)], "sieve cap 10000000"),
     (["lemma32-set", "3", "5", "--bound", str(10**18)], "sieve cap 10000000"),

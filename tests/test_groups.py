@@ -374,6 +374,17 @@ def test_obstruction_witnesses_reverify(group):
         assert w.verify(group), (group.label, w)
 
 
+@pytest.mark.parametrize("spec", ["X:C2*C2", "C6", "Q8", "S4"])
+def test_obstruction_witness_verify_refuses_indices_outside_the_group(spec):
+    g = G.parse_group_spec(spec)
+    for w in G.detect_obstructions(g):
+        for i in range(len(w.witness)):
+            for shift in (-g.order, g.order):  # numpy would wrap the negative one
+                bad = list(w.witness)
+                bad[i] += shift
+                assert G.ObstructionWitness(w.kind, tuple(bad)).verify(g) is False, (w, bad)
+
+
 def ref_non_cyclic_abelian_witness(g):
     """The first commuting pair (a, b) of equal prime order q with b outside
     <a>, for the least such q, as np.argwhere finds it over the elements of
@@ -718,6 +729,33 @@ def test_orders_and_powers_match_power_walk(g):
     elems = ar[::3]
     assert (g.powers(7, elems) == pow_table[7 % orders[elems], elems]).all()
     assert all(g.power(x, -2) == pow_table[-2 % orders[x], x] for x in elems.tolist())
+
+
+@pytest.mark.parametrize("spec", [
+    "C1", "C1024", "X:" + "*".join(["C2"] * 11), "Q32", "X:C8*D64",  # no prime, or no chain
+    "C210", "SD:31,30,3", "D105",  # three or more primes
+])
+def test_orders_match_power_walk_on_each_chain_shape(spec):
+    """C1 has no prime and no x^n check, a prime power builds no chain of
+    squares; each also relabeled and validated."""
+    g = G.parse_group_spec(spec)
+    perm = np.concatenate([[0], 1 + np.random.default_rng(19).permutation(g.order - 1)])
+    for h in (g, G.FiniteGroup(G.relabeled(g, perm).table)):
+        assert (h.orders == ref_power_walk(h)[1]).all()
+
+
+def orders_agree_on_corpus(n_max):
+    """Assert that every group of the criterion-1 corpus up to order n_max
+    has the orders of ref_power_walk; returns how many groups were checked."""
+    count = 0
+    for g in _group_corpus(n_max):
+        assert (g.orders == ref_power_walk(g)[1]).all(), g.label
+        count += 1
+    return count
+
+
+def test_orders_agree_on_corpus_to_order_128():
+    assert orders_agree_on_corpus(128) == 1221
 
 
 @pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)

@@ -128,6 +128,13 @@ def test_cyclic_tame_exists_examples():
         lt.cyclic_tame_exists(6, 5, 5)  # q not prime
 
 
+def test_degrees_below_one_are_refused_by_name():
+    # 1 divides 0, so the refusal must name d, not e
+    for d, e in ((0, 1), (-6, 2), (-1, 1)):
+        with pytest.raises(ValueError, match=f"d={d} must be at least 1"):
+            lt.cyclic_tame_exists(3, d, e)
+
+
 def test_cyclic_tame_exists_matches_epimorphism_search_smoke():
     for q in (3, 5, 7, 11, 13):
         for d in range(1, 13):
@@ -149,6 +156,14 @@ def test_tame_pairs_q8():
     assert lt.enumerate_tame_pairs(q8, 5) == []
     assert lt.enumerate_tame_pairs(q8, 13) == []  # 13 = 1 mod 4
     assert lt.enumerate_tame_pairs(q8, 7) != []   # 7 = 3 mod 4
+
+
+def test_tame_pair_verify_refuses_indices_outside_the_group():
+    g = G.parse_group_spec("SD:7,3,2")
+    assert lt.TamePair(g, 7, 1, 2).verify()
+    # numpy would wrap -14 to 7 and -20 to 1; 21 and 28 are past the end
+    for sigma, tau in ((-14, 1), (7, -20), (21, 1), (7, 22), (28, -1)):
+        assert lt.TamePair(g, sigma, tau, 2).verify() is False, (sigma, tau)
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,13 @@ def test_predicted_densities():
     assert ps.predicted_stratum_density(8, 1) == 0
 
 
+def test_degrees_below_one_are_refused_by_name():
+    for d, e in ((0, 1), (-6, 2), (-1, 1)):
+        for call in (lambda: ps.predicted_stratum_density(d, e), lambda: ps.enumerate_stratum(d, e, 100)):
+            with pytest.raises(ValueError, match=f"d={d} must be at least 1"):
+                call()
+
+
 def _phi(d):
     return sum(1 for a in range(d) if math.gcd(a, d) == 1)
 
