@@ -3,7 +3,7 @@
 Groups are plain index tables: elements are 0..order-1, element 0 is the
 identity, and table[i, j] is the index of the product.  Every predicate is
 decided exactly on the table (order cap 2048), which keeps the whole module
-free of any external group database.  Three algorithms carry the work:
+free of any external group database.  Four algorithms carry the work:
 
 * element orders by prime descent from one chain of squares x^(2^i) shared
   by every prime: for each p^a || n, y = x^(n/p^a) is a product of chain
@@ -13,7 +13,12 @@ free of any external group database.  Three algorithms carry the work:
   one gather each, with representatives closed under the generators;
 * the Frobenius search reads the kernel off the orders: a normal subgroup of
   order P coprime to its index is {x : ord(x) | P}, and its complements are
-  conjugate (Schur-Zassenhaus), so one complement decides.
+  conjugate (Schur-Zassenhaus), so one complement decides;
+* the classification reads one count of element orders, order_counts[d] =
+  |{x : ord(x) = d}|, and scans the orders only where the count allows a
+  witness: C_q x C_q needs q^2 - 1 elements of order q, a C_2 x C_2 three
+  involutions, and K = {x : ord(x) | P} needs the counts over d | P to sum
+  to P.
 
 One row of the table decides whether G contains C_q x C_q, and so both the
 obstruction witness and the quaternion Sylow shape (:func:`_rank_two_pair`).
@@ -75,17 +80,23 @@ class FiniteGroup:
     """A finite group given by its Cayley table of element indices."""
 
     def __init__(self, table, label: str = "G", validate: bool = True):
-        arr = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        arr = np.asarray(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise GroupError("Cayley table must be square")
         n = arr.shape[0]
         if n < 1 or n > ORDER_CAP:
             raise GroupError(f"order {n} outside 1..{ORDER_CAP}")
-        self.table = arr
+        if arr.dtype.kind not in "iu":  # a float would truncate, a bool become 0/1
+            raise GroupError(f"table entries must be integers, not {arr.dtype}")
+        # on the entries as given, since a wide integer wraps in the int32 cast
+        if validate and (arr.min() < 0 or arr.max() >= n):
+            raise GroupError("table entries out of range")
+        self.table = np.ascontiguousarray(arr, dtype=np.int32)
         self.order = n
         self.label = label
         self._inv = None
         self._pow = None
+        self._counts = None
         self._conj = None
         if validate:
             self.check_table()
@@ -94,8 +105,9 @@ class FiniteGroup:
     # -- validation ---------------------------------------------------------
 
     def check_table(self):
-        """Entries in range, two-sided identity at 0, x^n = 1 for every x,
-        and associativity: together these make the table a group's.
+        """Two-sided identity at 0, x^n = 1 for every x, and associativity:
+        with the entries in range, which the constructor checks on the table
+        as given, these make the table a group's.
 
         Associativity is exact by Light's test, at O(n^2 log n) cost.  The
         elements a with (x*a)*y = x*(a*y) for all x, y form a submagma: for
@@ -114,8 +126,6 @@ class FiniteGroup:
         check caught it.
         """
         t, n = self.table, self.order
-        if t.min() < 0 or t.max() >= n:
-            raise GroupError("table entries out of range")
         ar = np.arange(n)
         try:
             if not (t[0] == ar).all() or not (t[:, 0] == ar).all():
@@ -163,10 +173,10 @@ class FiniteGroup:
                 m = n // p**a
                 squares = [c for j, c in enumerate(chain) if m >> j & 1]
                 y = functools.reduce(lambda u, v: t[u, v], squares)  # x^m
-                orders[y != 0] *= p
+                np.multiply(orders, p, out=orders, where=y != 0)
                 for _ in range(a - 1):
                     y = self.powers(p, y)
-                    orders[y != 0] *= p
+                    np.multiply(orders, p, out=orders, where=y != 0)
                 if i == 0 and self.powers(p, y).any():  # y^p = x^n
                     raise GroupError("associativity fails: an element order does not divide n")
             self._pow = orders
@@ -177,8 +187,11 @@ class FiniteGroup:
         return self._power_data()
 
     @property
-    def max_order(self) -> int:
-        return int(self.orders.max())
+    def order_counts(self) -> np.ndarray:
+        """order_counts[d] = |{x : ord(x) = d}| for d = 0..n."""
+        if self._counts is None:
+            self._counts = np.bincount(self.orders, minlength=self.order + 1)
+        return self._counts
 
     @property
     def exponent(self) -> int:
@@ -186,7 +199,7 @@ class FiniteGroup:
 
     @property
     def is_cyclic(self) -> bool:
-        return self.max_order == self.order
+        return bool(self.order_counts[self.order])
 
     @property
     def is_abelian(self) -> bool:
@@ -211,17 +224,18 @@ class FiniteGroup:
 
     def powers(self, m: int, elems=None) -> np.ndarray:
         """x^m for each x in elems (default: every element), m >= 0, by
-        binary powering on the table."""
+        binary powering on the table: one gather per squaring and one per
+        set bit after the lowest.  For m = 1 an array elems comes back as it is."""
         t = self.table
         base = np.arange(self.order) if elems is None else np.asarray(elems)
-        out = np.zeros_like(base)
+        out = None
         while m:
             if m & 1:
-                out = t[out, base]
+                out = base if out is None else t[out, base]
             m >>= 1
             if m:
                 base = t[base, base]
-        return out
+        return np.zeros_like(base) if out is None else out
 
     def power(self, g: int, m: int) -> int:
         return int(self.powers(m % int(self.orders[g]), [g])[0])
@@ -698,25 +712,29 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
     Reports at most one witness per kind: a commuting pair of equal prime
     order generating a non-cyclic abelian subgroup, an element whose order
     has two distinct prime divisors, and an element of order exactly 4.
+    Each is the first element of its order, so an order is scanned for only
+    when :attr:`FiniteGroup.order_counts` shows that it occurs.
     """
     out = []
-    orders = g.orders
+    orders, counts = g.orders, g.order_counts
     for q in sorted(numtheory.factorize(g.order)):
+        # C_q x C_q holds q^2 - 1 elements of order q, so fewer rule it out
+        if counts[q] < q * q - 1:
+            continue
         pair = _rank_two_pair(g, q)
         if pair is not None:
             out.append(ObstructionWitness(NON_CYCLIC_ABELIAN, pair))
             break
 
     composite_orders = [
-        o for o in np.unique(orders).tolist() if numtheory.prime_divisor_count(o) >= 2
+        o for o in np.flatnonzero(counts).tolist() if numtheory.prime_divisor_count(o) >= 2
     ]
     if composite_orders:
-        x = int(np.flatnonzero(orders == composite_orders[0])[0])
+        x = int(np.argmax(orders == composite_orders[0]))
         out.append(ObstructionWitness(COMPOSITE_ORDER_ELEMENT, (x,)))
 
-    fours = np.flatnonzero(orders == 4)
-    if fours.size:
-        out.append(ObstructionWitness(ORDER_FOUR_ELEMENT, (int(fours[0]),)))
+    if g.order >= 4 and counts[4]:  # counts has n + 1 entries
+        out.append(ObstructionWitness(ORDER_FOUR_ELEMENT, (int(np.argmax(orders == 4)),)))
     return out
 
 
@@ -730,7 +748,8 @@ def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
       C_2 x C_2 (see :func:`_rank_two_pair`).  Then T contains none, so its
       involution is unique (a central one and any other make a C_2 x C_2),
       and a non-cyclic 2-group with a unique involution is generalized
-      quaternion (Gorenstein, *Finite Groups*, Thm 5.4.10(ii));
+      quaternion (Gorenstein, *Finite Groups*, Thm 5.4.10(ii)).  A C_2 x C_2
+      holds three involutions, so with fewer G contains none;
     * Other in every remaining case.
     """
     if not numtheory.is_prime(p):
@@ -738,9 +757,10 @@ def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
     if g.order % p:
         raise GroupError(f"{p} does not divide the group order {g.order}")
     target = p ** numtheory.factorize(g.order)[p]
-    if (g.orders == target).any():
+    counts = g.order_counts
+    if counts[target]:
         return SylowShape(SYLOW_CYCLIC, target)
-    if p == 2 and _rank_two_pair(g, 2) is None:
+    if p == 2 and (counts[2] < 3 or _rank_two_pair(g, 2) is None):
         return SylowShape(SYLOW_GENERALIZED_QUATERNION, target)
     return SylowShape(SYLOW_OTHER, target)
 
@@ -753,19 +773,21 @@ def frobenius_cyclic_decomposition(g: FiniteGroup) -> FrobeniusDecomposition | N
     A normal subgroup of order P coprime to its index is exactly
     {x : ord(x) | P}, so K is that set when it has P elements, one of them of
     order P.  Its complements are all conjugate (Schur-Zassenhaus), so H is
-    the cyclic subgroup of the first element of order Q.
+    the cyclic subgroup of the first element of order Q.  The set has as
+    many elements as the sum of order_counts[d] over d | P, so K and H are
+    built only for a P that passes that count.
     """
-    n, orders = g.order, g.orders
-    for P in numtheory.divisors(n):
+    n, orders, counts = g.order, g.orders, g.order_counts
+    divs = numtheory.divisors(n)
+    for P in divs:
         Q = n // P
         # H acts on K \ {1} without fixed points, so Q | P - 1 (and gcd(P, Q) = 1)
         if P == 1 or P == n or (P - 1) % Q:
             continue
-        k_elems = np.flatnonzero(P % orders == 0)
-        h_gens = np.flatnonzero(orders == Q)
-        if k_elems.size != P or not (orders[k_elems] == P).any() or not h_gens.size:
+        if not counts[P] or not counts[Q] or sum(counts[d] for d in divs if P % d == 0) != P:
             continue
-        h_elems = g.cyclic_subgroup(int(h_gens[0]))
+        k_elems = np.flatnonzero(P % orders == 0)
+        h_elems = g.cyclic_subgroup(int(np.argmax(orders == Q)))
         k_nontriv, h_nontriv = k_elems[1:], h_elems[1:]  # both start at 0
         kh = g.table[np.ix_(k_nontriv, h_nontriv)]
         hk = g.table[np.ix_(h_nontriv, k_nontriv)]

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ def test_table_validation_checks_columns():
         G.FiniteGroup(t)
     with pytest.raises(G.GroupError, match="permutations"):
         G.FiniteGroup(np.array(t).T)
+
+
+def _wrapping_c4():
+    t = G.cyclic(4).table.astype(np.int64)
+    t[1, 1] += 2**32  # 2 once cast to int32
+    return t
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1, 0.5]], "float64"),  # 0.5 truncates to 0: C2 once cast
+    ([[False, True], [True, False]], "bool"),
+    (_wrapping_c4(), "out of range"),
+], ids=["float", "bool", "int64-wraps"])
+def test_tables_that_the_int32_cast_would_change_are_refused(table, message):
+    with pytest.raises(G.GroupError, match=message):
+        G.FiniteGroup(table)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +563,7 @@ def test_parse_group_spec():
     assert G.parse_group_spec("A5").order == 60
     assert G.parse_group_spec("SD:7,3,2").order == 21
     x = G.parse_group_spec("X:C2*C2*C2")
-    assert x.order == 8 and x.max_order == 2
+    assert x.order == 8 and int(x.orders.max()) == 2
     for bad in ("", "C", "Zoo", "Q12", "S9", "SD:4,2", "X:C2"):
         with pytest.raises(G.GroupError):
             G.parse_group_spec(bad)
@@ -744,6 +761,31 @@ def test_orders_match_power_walk_on_each_chain_shape(spec):
         assert (h.orders == ref_power_walk(h)[1]).all()
 
 
+def count_table_gathers(g, run):
+    """How many times run(g) indexes g.table, counted by an ndarray subclass."""
+    gathers = []
+
+    class Counting(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(key)
+            return np.asarray(super().__getitem__(key))
+
+    g.table = g.table.view(Counting)
+    run(g)
+    return len(gathers)
+
+
+@pytest.mark.parametrize("spec, run, want", [
+    ("C12", lambda g: g.powers(0), 0),
+    ("C12", lambda g: g.powers(2), 1),  # one squaring
+    ("C2", G.FiniteGroup._power_data, 1),  # the x^n check alone
+    ("C1024", G.FiniteGroup._power_data, 10),  # nine descents and the check
+    ("Q32", G.FiniteGroup._power_data, 5),
+], ids=["powers0", "powers2", "C2", "C1024", "Q32"])
+def test_table_gathers_per_power(spec, run, want):
+    assert count_table_gathers(G.parse_group_spec(spec), run) == want
+
+
 def orders_agree_on_corpus(n_max):
     """Assert that every group of the criterion-1 corpus up to order n_max
     has the orders of ref_power_walk; returns how many groups were checked."""
@@ -756,6 +798,95 @@ def orders_agree_on_corpus(n_max):
 
 def test_orders_agree_on_corpus_to_order_128():
     assert orders_agree_on_corpus(128) == 1221
+
+
+# References for the classification: its three scans without the order
+# counts.  Every prime goes through _rank_two_pair, every divisor P with
+# Q | P - 1 builds its kernel set, and each witness is found by a full scan.
+
+
+def unpruned_detect_obstructions(g):
+    out = []
+    orders = g.orders
+    for q in sorted(nt.factorize(g.order)):
+        pair = G._rank_two_pair(g, q)
+        if pair is not None:
+            out.append(G.ObstructionWitness(G.NON_CYCLIC_ABELIAN, pair))
+            break
+
+    composite_orders = [o for o in np.unique(orders).tolist() if nt.prime_divisor_count(o) >= 2]
+    if composite_orders:
+        x = int(np.flatnonzero(orders == composite_orders[0])[0])
+        out.append(G.ObstructionWitness(G.COMPOSITE_ORDER_ELEMENT, (x,)))
+
+    fours = np.flatnonzero(orders == 4)
+    if fours.size:
+        out.append(G.ObstructionWitness(G.ORDER_FOUR_ELEMENT, (int(fours[0]),)))
+    return out
+
+
+def unpruned_sylow_shape(g, p):
+    if not nt.is_prime(p):
+        raise G.GroupError(f"{p} is not prime")
+    if g.order % p:
+        raise G.GroupError(f"{p} does not divide the group order {g.order}")
+    target = p ** nt.factorize(g.order)[p]
+    if (g.orders == target).any():
+        return G.SylowShape(G.SYLOW_CYCLIC, target)
+    if p == 2 and G._rank_two_pair(g, 2) is None:
+        return G.SylowShape(G.SYLOW_GENERALIZED_QUATERNION, target)
+    return G.SylowShape(G.SYLOW_OTHER, target)
+
+
+def unpruned_frobenius(g):
+    n, orders = g.order, g.orders
+    for P in nt.divisors(n):
+        Q = n // P
+        if P == 1 or P == n or (P - 1) % Q:
+            continue
+        k_elems = np.flatnonzero(P % orders == 0)
+        h_gens = np.flatnonzero(orders == Q)
+        if k_elems.size != P or not (orders[k_elems] == P).any() or not h_gens.size:
+            continue
+        h_elems = g.cyclic_subgroup(int(h_gens[0]))
+        k_nontriv, h_nontriv = k_elems[1:], h_elems[1:]
+        kh = g.table[np.ix_(k_nontriv, h_nontriv)]
+        hk = g.table[np.ix_(h_nontriv, k_nontriv)]
+        if not (kh == hk.T).any():
+            return G.FrobeniusDecomposition(
+                P=int(P),
+                Q=int(Q),
+                kernel=tuple(int(x) for x in k_elems),
+                complement=tuple(sorted(h_elems.tolist())),
+            )
+    return None
+
+
+def assert_classify_unpruned(g):
+    """classify(g) against classify with the unpruned scans and is_cyclic as
+    "the largest order is n"; the Frobenius kernel and complement too."""
+    with mock.patch.multiple(G, detect_obstructions=unpruned_detect_obstructions,
+                             sylow_shape=unpruned_sylow_shape,
+                             frobenius_cyclic_decomposition=unpruned_frobenius), \
+            mock.patch.object(G.FiniteGroup, "is_cyclic", property(lambda h: int(h.orders.max()) == h.order)):
+        want = G.classify(g).as_dict()
+    assert G.classify(g).as_dict() == want, g.label
+    assert G.frobenius_cyclic_decomposition(g) == unpruned_frobenius(g), g.label
+
+
+def classify_agrees_on_corpus(n_max):
+    """Assert that every group of the criterion-1 corpus up to order n_max
+    is classified as the unpruned scans classify it; returns how many groups
+    were checked."""
+    count = 0
+    for g in _group_corpus(n_max):
+        assert_classify_unpruned(g)
+        count += 1
+    return count
+
+
+def test_classify_agrees_on_corpus_to_order_128():
+    assert classify_agrees_on_corpus(128) == 1221
 
 
 @pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)
@@ -843,6 +974,97 @@ def _sylow_groups():
 @pytest.mark.parametrize("g", _sylow_groups(), ids=lambda g: g.label)
 def test_sylow_shape_matches_subgroup_reference(g):
     assert_sylow_shapes_match(g)
+
+
+def closed_permutation_table(gens):
+    """The Cayley table of the group the permutations generate, a*b being
+    x -> a(b(x)): elements in breadth-first order from the identity, closed
+    by right multiplication by the generators, and the table read off by
+    position.  (groups._perm_group ranks by a base-m code, which overflows
+    int64 from degree 16 on.)"""
+    ident = tuple(range(len(gens[0])))
+    elems, index = [ident], {ident: 0}
+    for a in elems:  # grows while it is walked
+        for s in gens:
+            x = tuple(a[i] for i in s)
+            if x not in index:
+                index[x] = len(elems)
+                elems.append(x)
+    return [[index[tuple(a[i] for i in b)] for b in elems] for a in elems]
+
+
+def _affine_group(p, matrices, translations):
+    """Permutations of F_p^2, point (x, y) numbered p*x + y, of the maps
+    v -> Mv and v -> v + t."""
+    points = [(x, y) for x in range(p) for y in range(p)]
+    gens = [[p * ((a * x + b * y) % p) + (c * x + d * y) % p for x, y in points]
+            for (a, b), (c, d) in matrices]
+    gens += [[p * ((x + tx) % p) + (y + ty) % p for x, y in points] for tx, ty in translations]
+    return gens
+
+
+def _outside_corpus_groups():
+    """Groups the criterion-1 families miss, from permutation generators,
+    each validated as a table, and a relabeled copy of each."""
+    inf = 7  # PSL(2,7) on the projective line F_7 + {inf}: x -> x + 1 and x -> -1/x
+    psl27 = [[(x + 1) % 7 if x < inf else inf for x in range(8)],
+             [inf if x == 0 else 0 if x == inf else (-pow(x, -1, 7)) % 7 for x in range(8)]]
+    nonzero = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+
+    def on_nonzero(matrices):  # 2x2 matrices over F_3 acting on F_3^2 \ {0}
+        return [[nonzero.index(((a * x + b * y) % 3, (c * x + d * y) % 3)) for x, y in nonzero]
+                for (a, b), (c, d) in matrices]
+
+    sl23 = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    specs = {
+        "PSL(2,7)": (psl27, 168),
+        "SL(2,3)": (on_nonzero(sl23), 24),
+        "GL(2,3)": (on_nonzero(sl23 + [((2, 0), (0, 1))]), 48),
+        # (x, y) -> (x + 1, y) and (x, y) -> (x, y + x): exponent 3
+        "Heis(3)": (_affine_group(3, [((1, 0), (1, 1))], [(1, 0)]), 27),
+        # C_5^2 x| C_3 by (x, y) -> (-y, x - y), which fixes no nonzero point
+        "C5^2:C3": (_affine_group(5, [((0, 4), (1, 4))], [(1, 0), (0, 1)]), 75),
+        # C_3^2 x| Q_8, Q_8 = <(0 -1; 1 0), (1 1; 1 -1)> in SL(2,3)
+        "C3^2:Q8": (_affine_group(3, [((0, 2), (1, 0)), ((1, 1), (1, 2))], [(1, 0), (0, 1)]), 72),
+    }
+    out = {}
+    rng = np.random.default_rng(20)
+    for label, (gens, order) in specs.items():
+        g = G.FiniteGroup(closed_permutation_table(gens), label=label)
+        assert g.order == order, label
+        perm = np.concatenate([[0], 1 + rng.permutation(order - 1)])
+        out[label] = g
+        out[label + "~"] = G.FiniteGroup(G.relabeled(g, perm).table, label=label + "~")
+    return out
+
+
+OUTSIDE_CORPUS = _outside_corpus_groups()
+
+
+@pytest.mark.parametrize("g", OUTSIDE_CORPUS.values(), ids=list(OUTSIDE_CORPUS))
+def test_classification_outside_the_corpus_families(g):
+    got = [w.witness for w in G.detect_obstructions(g) if w.kind == G.NON_CYCLIC_ABELIAN]
+    want = ref_non_cyclic_abelian_witness(g)
+    assert got == ([want] if want else [])
+    assert G.frobenius_cyclic_decomposition(g) == ref_frobenius(g)
+    assert_sylow_shapes_match(g)
+    assert_classify_unpruned(g)
+
+
+def test_order_count_bounds_are_met_at_their_edges():
+    """Each bound that lets a count skip a scan is reached exactly by one of
+    the groups above, on either side of the scan's answer."""
+    g = OUTSIDE_CORPUS["C5^2:C3"]
+    assert g.order_counts[5] == 5**2 - 1 and G._rank_two_pair(g, 5) is not None
+    g = OUTSIDE_CORPUS["SL(2,3)"]
+    assert g.order_counts[3] == 3**2 - 1 and G._rank_two_pair(g, 3) is None
+    assert g.order_counts[2] == 1
+    assert G.sylow_shape(g, 2) == G.SylowShape(G.SYLOW_GENERALIZED_QUATERNION, 8)
+    g = OUTSIDE_CORPUS["PSL(2,7)"]
+    assert g.order_counts[7] == 7**2 - 1 and G._rank_two_pair(g, 7) is None
+    g = OUTSIDE_CORPUS["C3^2:Q8"]  # nine involutions, none of them commuting
+    assert g.order_counts[2] == 9
+    assert G.sylow_shape(g, 2) == G.SylowShape(G.SYLOW_GENERALIZED_QUATERNION, 8)
 
 
 @pytest.mark.parametrize("spec", ["C2048", "D1024", "SD:1023,2,1022", "SD:241,8,8", "X:C8*D64"])
