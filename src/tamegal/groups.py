@@ -30,7 +30,8 @@ Any group can also come from a JSON file (see :func:`parse_group_spec`): an
 object whose "table" is a square array of arrays of non-negative JSON
 integers, and whose "order", if present, is an integer equal to the row
 count.  Other keys are ignored.  The table is read by whole-buffer byte
-passes straight into int32, without a Python int per entry.  A validated
+passes into int32, without a Python int per entry.  Every table is stored
+as int16, since ORDER_CAP < 2^15 bounds every entry.  A validated
 table is decided exactly at every order (see :meth:`FiniteGroup.check_table`):
 entries in range, identity at 0, x^n = 1 for every x, and associativity by
 Light's test on a generating set make it a group's, so the Latin-square
@@ -88,10 +89,10 @@ class FiniteGroup:
             raise GroupError(f"order {n} outside 1..{ORDER_CAP}")
         if arr.dtype.kind not in "iu":  # a float would truncate, a bool become 0/1
             raise GroupError(f"table entries must be integers, not {arr.dtype}")
-        # on the entries as given, since a wide integer wraps in the int32 cast
+        # on the entries as given, since a wide integer wraps in the int16 cast
         if validate and (arr.min() < 0 or arr.max() >= n):
             raise GroupError("table entries out of range")
-        self.table = np.ascontiguousarray(arr, dtype=np.int32)
+        self.table = np.ascontiguousarray(arr, dtype=np.int16)  # n <= ORDER_CAP < 2^15
         self.order = n
         self.label = label
         self._inv = None
@@ -339,12 +340,20 @@ def _greedy_generators(g: FiniteGroup) -> list[int]:
 # constructors
 
 
+def _rotations(row: np.ndarray, step: int) -> np.ndarray:
+    """Row r of the result is row rotated left by r*step, for r < len(row) / step:
+    a strided view into row written out twice, so no entry is summed or
+    reduced.  The ndarray constructor checks the view against the buffer."""
+    n = len(row)
+    ext = np.concatenate([row, row[: n - step]])
+    return np.ndarray((n // step, n), ext.dtype, ext, strides=(step * ext.itemsize, ext.itemsize))
+
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1 or n > ORDER_CAP:
         raise GroupError(f"cyclic order {n} outside 1..{ORDER_CAP}")
-    ar = np.arange(n, dtype=np.int32)
-    table = ar[:, None] + ar
-    table[table >= n] -= n
+    # row i is 0..n-1 rotated left by i; the constructor copies the view
+    table = _rotations(np.arange(n, dtype=np.int16), 1)
     return FiniteGroup(table, label=f"C{n}", validate=False)
 
 
@@ -367,16 +376,25 @@ def semidirect_cyclic(P: int, Q: int, k: int) -> FiniteGroup:
     n = P * Q
     ip = np.arange(P, dtype=np.int32)
     kbar = pow(k, -1, P)
-    kbar_pows = np.array([pow(kbar, j, P) for j in range(Q)], dtype=np.int32)
+    cycle = [1 % P]  # kbar^j mod P repeats with the order of kbar, which divides Q
+    while (x := cycle[-1] * kbar % P) != cycle[0]:
+        cycle.append(x)
+    kbar_pows = np.array(cycle * (Q // len(cycle)), dtype=np.int32)
     # block structure: the (i1, i2) part depends on j1 only and the j part is
-    # a Q x Q pattern, so the modular work stays at P*n; the two are summed
-    # in one broadcast over (j1, i1, j2, i2)
-    twists = np.outer(kbar_pows, ip) % P  # twists[j1, i2] = kbar^j1 * i2 mod P
-    core = (ip[None, :, None] + twists[:, None, :]) % P  # core[j1, i1, i2]
-    jq = np.arange(Q, dtype=np.int32)
-    jpart = P * ((jq[:, None] + jq[None, :]) % Q)  # jpart[j1, j2]
-    table = (core[:, :, None, :] + jpart[:, None, :, None]).reshape(n, n)
-    return FiniteGroup(table, label=f"SD:{P},{Q},{k}", validate=False)
+    # a Q x Q pattern, so the modular work stays at P*n.  Each table row is
+    # built whole, a core row tiled Q times plus a row of P * (j1 + j2 mod Q):
+    # a broadcast over (j1, i1, j2, i2) would run n^2/P inner loops of P.
+    # The product kbar^j1 * i2 reaches about 4*10^6, so it is taken in int32.
+    twists = (kbar_pows[:, None] * ip % P).astype(np.uint16)  # kbar^j1 * i2 mod P
+    core = ip.astype(np.uint16)[None, :, None] + twists[:, None, :]  # below 2P
+    # (i1 + twist) mod P without a division: in uint16, core - P wraps above
+    # core when core < P, so the minimum of the two is the residue
+    core = np.minimum(core, core - P, out=core).view(np.int16)  # core[j1, i1, i2]
+    # each core row Q times over: table[j1, i1, j2*P + i2] = core[j1, i1, i2]
+    table = core.reshape(-1, P).repeat(Q, axis=0).reshape(Q, P, n)
+    jrow = np.repeat(P * np.arange(Q, dtype=np.int16), P)  # jrow[j2*P + i2] = P*j2
+    table += _rotations(jrow, P)[:, None, :]  # P * (j1 + j2 mod Q)
+    return FiniteGroup(table.reshape(n, n), label=f"SD:{P},{Q},{k}", validate=False)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -407,9 +425,13 @@ def generalized_quaternion(order: int) -> FiniteGroup:
 
 def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     """Elements in sorted order; a*b is x -> a(b(x)), ranked by its base-m code,
-    which sorts as the permutation tuples do."""
+    which sorts as the permutation tuples do.  The codes run to m^m, which
+    passes 2^63 from m = 16 on, so such degrees are refused."""
+    m = len(perms[0])
+    if m >= 16:
+        raise GroupError(f"permutation degree {m} too large: base-{m} codes overflow int64")
     p = np.array(sorted(perms), dtype=np.int8)
-    weights = len(p[0]) ** np.arange(len(p[0]) - 1, -1, -1, dtype=np.int64)
+    weights = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
     return FiniteGroup(np.searchsorted(p @ weights, p[:, p] @ weights), label=label, validate=False)
 
 
@@ -432,9 +454,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """A x B with (x, y) indexed as x*|B| + y."""
     if a.order * b.order > ORDER_CAP:
         raise GroupError("direct product exceeds the order cap")
-    table = (a.table[:, None, :, None] * b.order + b.table[None, :, None, :]).reshape(
-        a.order * b.order, a.order * b.order
-    )
+    na, nb = a.order, b.order
+    # whole rows, as in semidirect_cyclic: row (x1, y1) is a's row x1 scaled
+    # and each entry repeated nb times, plus b's row y1 na times over
+    b_rows = b.table.repeat(na, axis=0).reshape(nb, na * nb)
+    table = (a.table * nb).repeat(nb, axis=1)[:, None, :] + b_rows
+    table = table.reshape(na * nb, na * nb)
     return FiniteGroup(table, label=f"{a.label}x{b.label}", validate=False)
 
 
@@ -476,7 +501,9 @@ def _table_end(text: str, pos: int) -> int:
 
 def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
     """The table value that starts at text[pos], as an n x n int32 array, and
-    the offset just past it.
+    the offset just past it.  It is parsed into int32, wide enough for the
+    digit count below to catch a wrapped number; the constructor then
+    range-checks it and stores it as int16.
 
     Whole-buffer byte passes stand in for a JSON parse, so no Python int is
     built per entry.  With whitespace dropped the table must read

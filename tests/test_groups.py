@@ -176,17 +176,18 @@ def test_table_validation_checks_columns():
         G.FiniteGroup(np.array(t).T)
 
 
-def _wrapping_c4():
-    t = G.cyclic(4).table.astype(np.int64)
-    t[1, 1] += 2**32  # 2 once cast to int32
+def _wrapping_c4(dtype, wrap):
+    t = G.cyclic(4).table.astype(dtype)
+    t[1, 1] += wrap  # 2 once cast to int16
     return t
 
 
 @pytest.mark.parametrize("table, message", [
     ([[0, 1], [1, 0.5]], "float64"),  # 0.5 truncates to 0: C2 once cast
     ([[False, True], [True, False]], "bool"),
-    (_wrapping_c4(), "out of range"),
-], ids=["float", "bool", "int64-wraps"])
+    (_wrapping_c4(np.int64, 2**32), "out of range"),
+    (_wrapping_c4(np.int32, 2**16), "out of range"),  # wraps in int16 only
+], ids=["float", "bool", "int64-wraps", "int32-wraps"])
 def test_tables_that_the_int32_cast_would_change_are_refused(table, message):
     with pytest.raises(G.GroupError, match=message):
         G.FiniteGroup(table)
@@ -980,8 +981,8 @@ def closed_permutation_table(gens):
     """The Cayley table of the group the permutations generate, a*b being
     x -> a(b(x)): elements in breadth-first order from the identity, closed
     by right multiplication by the generators, and the table read off by
-    position.  (groups._perm_group ranks by a base-m code, which overflows
-    int64 from degree 16 on.)"""
+    position.  (groups._perm_group ranks by a base-m code, which would
+    overflow int64 from degree 16 on, so it refuses those degrees.)"""
     ident = tuple(range(len(gens[0])))
     elems, index = [ident], {ident: 0}
     for a in elems:  # grows while it is walked
@@ -1099,21 +1100,68 @@ def ref_semidirect_table(P, Q, k):
 @pytest.mark.parametrize(
     "P,Q,k",
     [(1, 1, 0), (1, 6, 0), (5, 1, 1), (2, 2, 1), (7, 3, 2), (13, 4, 5), (61, 4, 11),
-     (31, 5, 2), (19, 9, 4), (73, 8, 10), (17, 16, 3), (241, 8, 8), (1023, 2, 1022)],
+     (31, 5, 2), (19, 9, 4), (73, 8, 10), (17, 16, 3), (241, 8, 8), (1023, 2, 1022),
+     # the largest intermediates: core at P = n, twists near 4*10^6, the longest repeat at P = 2
+     (2048, 1, 1), (1024, 2, 1023), (2, 1024, 1)],
 )
 def test_semidirect_table_matches_block_loop(P, Q, k):
     table = G.semidirect_cyclic(P, Q, k).table
-    assert table.dtype == np.int32
+    assert table.dtype == np.int16
     assert np.array_equal(table, ref_semidirect_table(P, Q, k))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 2048])
 def test_cyclic_table_matches_outer_sum(n):
     ar = np.arange(n, dtype=np.int64)
-    ref = (np.add.outer(ar, ar) % n).astype(np.int32)
+    ref = (np.add.outer(ar, ar) % n).astype(np.int16)
     table = G.cyclic(n).table
-    assert table.dtype == np.int32 and table.flags.c_contiguous
+    assert table.dtype == np.int16 and table.flags.c_contiguous
     assert table.tobytes() == ref.tobytes()
+
+
+def ref_direct_product(a, b):
+    """The A x B table assembled one x1 row block at a time: (x1, y1) times
+    (x2, y2) is (x1 x2, y1 y2), and (x, y) is indexed as x*|B| + y."""
+    na, nb = a.order, b.order
+    table = np.empty((na * nb, na * nb), dtype=np.int32)
+    for x1 in range(na):
+        block = a.table[x1].astype(np.int32)[:, None] * nb + b.table[:, None, :]  # [y1, x2, y2]
+        table[x1 * nb : (x1 + 1) * nb, :] = block.reshape(nb, na * nb)
+    return table
+
+
+@pytest.mark.parametrize("a, b", [("C2", "C1024"), ("C1024", "C2"), ("C1", "C5")])
+def test_direct_product_table_matches_block_loop(a, b):
+    a, b = G.parse_group_spec(a), G.parse_group_spec(b)
+    table = G.direct_product(a, b).table
+    assert table.dtype == np.int16 and table.flags.c_contiguous
+    assert np.array_equal(table, ref_direct_product(a, b))
+
+
+def tables_agree_on_corpus(n_max):
+    """Assert that every cyclic, SD, D and X table of the criterion-1 corpus
+    up to order n_max equals its reference above; returns how many tables
+    were checked (all but the three quaternion and three permutation groups)."""
+    count = 0
+    for g in _group_corpus(n_max):
+        label = g.label
+        if label.startswith("SD:"):
+            want = ref_semidirect_table(*(int(x) for x in label[3:].split(",")))
+        elif "x" in label:  # no factor label holds an "x"
+            want = ref_direct_product(*(G.parse_group_spec(f) for f in label.split("x")))
+        elif label[0] == "D":
+            want = ref_semidirect_table(g.order // 2, 2, g.order // 2 - 1)
+        elif label[0] == "C":
+            want = np.add.outer(np.arange(g.order), np.arange(g.order)) % g.order
+        else:
+            continue
+        assert g.table.dtype == np.int16 and np.array_equal(g.table, want), label
+        count += 1
+    return count
+
+
+def test_tables_agree_on_corpus_to_order_128():
+    assert tables_agree_on_corpus(128) == 1215
 
 
 def ref_alternating_table(m):
@@ -1122,13 +1170,13 @@ def ref_alternating_table(m):
     perms = [p for p in itertools.permutations(range(m))
              if sum(p[i] > p[j] for i in range(m) for j in range(i + 1, m)) % 2 == 0]
     index = {p: i for i, p in enumerate(perms)}
-    return np.array([[index[tuple(a[x] for x in b)] for b in perms] for a in perms], dtype=np.int32)
+    return np.array([[index[tuple(a[x] for x in b)] for b in perms] for a in perms], dtype=np.int16)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_alternating_table_matches_parity_filter(m):
     g = G.alternating(m)
-    assert g.label == f"A{m}" and g.table.dtype == np.int32
+    assert g.label == f"A{m}" and g.table.dtype == np.int16
     assert g.table.tobytes() == ref_alternating_table(m).tobytes()
 
 
@@ -1142,14 +1190,25 @@ def ref_perm_group_table(perms):
     for a, pa in enumerate(perms):
         for b, pb in enumerate(perms):
             table[a, b] = index[tuple(pa[x] for x in pb)]
-    return table.astype(np.int32)
+    return table.astype(np.int16)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_symmetric_table_matches_product_loop(m):
     g = G.symmetric(m)
-    assert g.label == f"S{m}" and g.table.dtype == np.int32 and g.table.flags.c_contiguous
+    assert g.label == f"S{m}" and g.table.dtype == np.int16 and g.table.flags.c_contiguous
     assert g.table.tobytes() == ref_perm_group_table(itertools.permutations(range(m))).tobytes()
+
+
+def test_perm_group_refuses_degrees_whose_codes_overflow():
+    """Base-16 codes of 16 points reach 16^16 = 2^64: the reversal once read
+    as the table [[2, 0], [0, 2]].  On 15 points the codes fit int64."""
+    def reversal(m):
+        return [tuple(range(m)), tuple(range(m - 1, -1, -1))]
+
+    assert G._perm_group(reversal(15), "C2").table.tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(G.GroupError, match="degree 16 too large"):
+        G._perm_group(reversal(16), "C2")
 
 
 # ---------------------------------------------------------------------------
@@ -1176,7 +1235,7 @@ def ref_read_table_file(path):
 
 def assert_read_alike(path):
     got, want = G.parse_group_spec(str(path)), ref_read_table_file(str(path))
-    assert got.table.dtype == np.int32 and got.table.flags.c_contiguous
+    assert got.table.dtype == np.int16 and got.table.flags.c_contiguous
     assert np.array_equal(got.table, want.table)
     assert got.label == want.label == path.name
 
