@@ -3,7 +3,7 @@
 Groups are plain index tables: elements are 0..order-1, element 0 is the
 identity, and table[i, j] is the index of the product.  Every predicate is
 decided exactly on the table (order cap 2048), which keeps the whole module
-free of any external group database.  Four algorithms carry the work:
+free of any external group database.  Five algorithms carry the work:
 
 * element orders by prime descent from one chain of squares x^(2^i) shared
   by every prime: for each p^a || n, y = x^(n/p^a) is a product of chain
@@ -11,6 +11,9 @@ free of any external group database.  Four algorithms carry the work:
   x^n = 1 is checked once, for the least prime;
 * subgroup closure by Dimino's algorithm: whole right cosets H*x are added,
   one gather each, with representatives closed under the generators;
+* S_m and A_m by one Schreier-tree closure of permutation generators: each
+  element b = b'*s gives its table column as right multiplication by s of
+  the column of b', one gather each (:func:`_perm_closure`);
 * the Frobenius search reads the kernel off the orders: a normal subgroup of
   order P coprime to its index is {x : ord(x) | P}, and its complements are
   conjugate (Schur-Zassenhaus), so one complement decides;
@@ -51,7 +54,6 @@ The three classification flags reported by :func:`classify`:
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -195,16 +197,8 @@ class FiniteGroup:
         return self._counts
 
     @property
-    def exponent(self) -> int:
-        return int(np.lcm.reduce(self.orders))
-
-    @property
     def is_cyclic(self) -> bool:
         return bool(self.order_counts[self.order])
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
 
     @property
     def conj(self) -> np.ndarray:
@@ -239,7 +233,7 @@ class FiniteGroup:
         return np.zeros_like(base) if out is None else out
 
     def power(self, g: int, m: int) -> int:
-        return int(self.powers(m % int(self.orders[g]), [g])[0])
+        return int(self.powers(m % self.element_order(g), [g])[0])
 
     def element_order(self, g: int) -> int:
         if not 0 <= g < self.order:
@@ -248,7 +242,7 @@ class FiniteGroup:
 
     def cyclic_subgroup(self, g: int) -> np.ndarray:
         """g^0, g^1, ..., g^(o-1) for o = ord(g), in that order."""
-        o = int(self.orders[g])
+        o = self.element_order(g)
         pw = np.zeros(1, dtype=np.int64)
         while pw.size < o:
             # g^0..g^(k-1) times g^k gives g^k..g^(2k-1)
@@ -265,8 +259,8 @@ class FiniteGroup:
         multiplication by the generators used so far.  Every element reached
         is a product of the generators, also on a table that is no group.
         """
-        t, orders = self.table, self.orders
-        gens = sorted({int(x) for x in gens}, key=lambda x: -orders[x])
+        t = self.table
+        gens = sorted({int(x) for x in gens}, key=lambda x: -self.element_order(x))
         mask = np.zeros(self.order, dtype=bool)
         mask[self.cyclic_subgroup(gens[0]) if gens else 0] = True
         used = gens[:1]
@@ -284,19 +278,6 @@ class FiniteGroup:
                         mask[t[prev, x]] = True
                         reps.append(x)
         return np.flatnonzero(mask)
-
-    def center(self) -> np.ndarray:
-        comm = self.table == self.table.T
-        return np.flatnonzero(comm.all(axis=1))
-
-    def subgroup(self, elems, label: str | None = None) -> "FiniteGroup":
-        """The subgroup on the given (closed) element set, reindexed."""
-        el = np.unique(np.asarray(list(elems), dtype=np.int64))
-        sub = self.table[np.ix_(el, el)]
-        if not np.isin(sub, el).all():
-            raise GroupError("element set is not closed under multiplication")
-        table = np.searchsorted(el, sub)
-        return FiniteGroup(table, label=label or f"{self.label}|sub{len(el)}", validate=False)
 
     def __repr__(self):
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -423,31 +404,54 @@ def generalized_quaternion(order: int) -> FiniteGroup:
     return FiniteGroup(i + half * j, label=f"Q{N}", validate=False)
 
 
-def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
-    """Elements in sorted order; a*b is x -> a(b(x)), ranked by its base-m code,
-    which sorts as the permutation tuples do.  The codes run to m^m, which
-    passes 2^63 from m = 16 on, so such degrees are refused."""
-    m = len(perms[0])
-    if m >= 16:
-        raise GroupError(f"permutation degree {m} too large: base-{m} codes overflow int64")
-    p = np.array(sorted(perms), dtype=np.int8)
-    weights = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return FiniteGroup(np.searchsorted(p @ weights, p[:, p] @ weights), label=label, validate=False)
+def _perm_closure(gens, label: str = "G") -> FiniteGroup:
+    """The group the permutations gens generate, a*b being x -> a(b(x)), its
+    elements in lexicographic order (so the identity is 0).
+
+    A breadth-first walk over a dict of tuples is a Schreier tree of the right
+    regular action: each new element b = b'*s records its parent b' and
+    generator s, and right[s][a] = a*s.  Column b of the table, (a*b')*s over
+    every a, is then right[s][column b'].  The callers bound the order.
+    """
+    elems = [tuple(range(len(gens[0])))]
+    index = {elems[0]: 0}
+    tree = []  # (b, b', k) with b = b' * gens[k], for each b after the identity
+    right = [[] for _ in gens]  # right[k][a] = a * gens[k]
+    for a, elem in enumerate(elems):  # grows while it is walked
+        for k, s in enumerate(gens):
+            x = tuple(elem[i] for i in s)  # elem * s
+            if x not in index:
+                index[x] = len(elems)
+                tree.append((len(elems), a, k))
+                elems.append(x)
+            right[k].append(index[x])
+    n = len(elems)
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=elems.__getitem__)] = np.arange(n)
+    ranked_right = np.empty((len(gens), n), dtype=np.int16)
+    ranked_right[:, rank] = rank[np.array(right, dtype=np.intp)]
+    cols = np.empty((n, n), dtype=np.int16)  # cols[b, a] = a*b, by rank
+    cols[0] = np.arange(n)
+    for b, parent, k in tree:
+        cols[rank[b]] = ranked_right[k][cols[rank[parent]]]
+    return FiniteGroup(cols.T, label=label, validate=False)
 
 
 def symmetric(m: int) -> FiniteGroup:
+    """S_m from (0 1) and (0 1 ... m-1); S_1 from its one element."""
     if m < 1 or math.factorial(m) > ORDER_CAP:
         raise GroupError(f"symmetric degree {m} out of range")
-    return _perm_group(list(itertools.permutations(range(m))), f"S{m}")
+    cycle = tuple(range(1, m)) + (0,)
+    gens = [cycle] if m == 1 else [(1, 0) + tuple(range(2, m)), cycle]
+    return _perm_closure(gens, f"S{m}")
 
 
 def alternating(m: int) -> FiniteGroup:
-    """A_m as the subgroup of S_m generated by the squares (3-cycles among
-    them); it keeps the sorted order of S_m, so the even permutations."""
+    """A_m from the 3-cycles (0 1 i), 2 <= i < m."""
     if m < 3 or math.factorial(m) // 2 > ORDER_CAP:
         raise GroupError(f"alternating degree {m} out of range")
-    S = symmetric(m)
-    return S.subgroup(S.subgroup_closure(np.unique(S.powers(2))), label=f"A{m}")
+    gens = [[{0: 1, 1: i, i: 0}.get(x, x) for x in range(m)] for i in range(2, m)]
+    return _perm_closure(gens, f"A{m}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -877,12 +881,9 @@ def classify(g: FiniteGroup) -> ClassificationReport:
 
 
 def _fingerprint(g: FiniteGroup):
-    return (
-        g.order,
-        tuple(sorted(g.orders.tolist())),
-        g.is_abelian,
-        int(g.center().size),
-    )
+    # the order of the center is n iff the group is abelian
+    central = (g.table == g.table.T).all(axis=1)
+    return g.order, tuple(sorted(g.orders.tolist())), int(np.count_nonzero(central))
 
 
 def _extend_hom(phi: dict[int, int], new_g: int, new_h: int, g: FiniteGroup, h: FiniteGroup):

@@ -90,12 +90,9 @@ def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:
     found by congruences on the cached sieve: e | p-1, and ell*e does not
     divide p-1 for each prime ell | d/e (see the module docstring)."""
     d, e, bound = int(d), int(e), int(bound)
-    if d < 1:
-        raise ValueError(f"degree d={d} must be at least 1")
-    if e < 1 or d % e:
-        raise ValueError(f"e={e} must divide d={d}")
     if d >= 2**63:
         raise ValueError(f"d={d} must be below 2^63, the range of the sieve's int64 primes")
+    predicted = predicted_stratum_density(d, e)  # refuses d < 1 and e not dividing d
     primes = numtheory.primes_upto(bound)[1:]  # the odd primes
     primes = primes[d % primes != 0]
     members = primes[(primes - 1) % e == 0]
@@ -109,7 +106,7 @@ def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:
         primes=members.tolist(),
         bound=bound,
         empirical_density=emp,
-        predicted_density=predicted_stratum_density(d, e),
+        predicted_density=predicted,
     )
 
 

@@ -93,6 +93,17 @@ def test_element_order_examples():
         c6.element_order(6)
 
 
+@pytest.mark.parametrize("g", [-1, 5])
+def test_element_indices_outside_the_group_are_refused(g):
+    """A negative index would wrap around the order array, and one past the
+    end would raise a bare IndexError; each method refuses both by name."""
+    c5 = G.cyclic(5)
+    for call in (lambda: c5.power(g, 2), lambda: c5.cyclic_subgroup(g),
+                 lambda: c5.subgroup_closure([1, g])):
+        with pytest.raises(G.GroupError, match=f"element index {g} out of range for order 5"):
+            call()
+
+
 def test_semidirect_s3_example():
     got = G.semidirect_cyclic(3, 2, -1)
     assert got.order == 6
@@ -108,7 +119,7 @@ def test_semidirect_trivial_action_is_cyclic():
 def test_semidirect_order21_nonabelian():
     g = G.semidirect_cyclic(7, 3, 2)
     assert g.order == 21
-    assert not g.is_abelian
+    assert not (g.table == g.table.T).all()
     center = [
         z
         for z in range(21)
@@ -741,7 +752,7 @@ KERNEL_GROUPS = _kernel_groups()
 def test_orders_and_powers_match_power_walk(g):
     pow_table, orders = ref_power_walk(g)
     assert (g.orders == orders).all()
-    ar, e = np.arange(g.order), g.exponent
+    ar, e = np.arange(g.order), int(np.lcm.reduce(g.orders))
     for m in (0, 1, 2, e - 1, e, e + 1, 3 * e + 5, 1009):
         assert (g.powers(m) == pow_table[m % orders, ar]).all(), m
     elems = ar[::3]
@@ -977,12 +988,10 @@ def test_sylow_shape_matches_subgroup_reference(g):
     assert_sylow_shapes_match(g)
 
 
-def closed_permutation_table(gens):
-    """The Cayley table of the group the permutations generate, a*b being
-    x -> a(b(x)): elements in breadth-first order from the identity, closed
-    by right multiplication by the generators, and the table read off by
-    position.  (groups._perm_group ranks by a base-m code, which would
-    overflow int64 from degree 16 on, so it refuses those degrees.)"""
+def closed_permutations(gens):
+    """The permutations that gens generate, in breadth-first order from the
+    identity, closed by right multiplication by the generators (a*s mapping
+    x to a[s[x]])."""
     ident = tuple(range(len(gens[0])))
     elems, index = [ident], {ident: 0}
     for a in elems:  # grows while it is walked
@@ -991,6 +1000,15 @@ def closed_permutation_table(gens):
             if x not in index:
                 index[x] = len(elems)
                 elems.append(x)
+    return elems
+
+
+def closed_permutation_table(gens):
+    """The Cayley table of the group the permutations generate, a*b being
+    x -> a(b(x)), with the elements of :func:`closed_permutations` and each
+    product looked up by position."""
+    elems = closed_permutations(gens)
+    index = {x: i for i, x in enumerate(elems)}
     return [[index[tuple(a[i] for i in b)] for b in elems] for a in elems]
 
 
@@ -1004,9 +1022,9 @@ def _affine_group(p, matrices, translations):
     return gens
 
 
-def _outside_corpus_groups():
-    """Groups the criterion-1 families miss, from permutation generators,
-    each validated as a table, and a relabeled copy of each."""
+def _outside_corpus_generators():
+    """Permutation generators of groups the criterion-1 families miss, each
+    with the order of the group they generate."""
     inf = 7  # PSL(2,7) on the projective line F_7 + {inf}: x -> x + 1 and x -> -1/x
     psl27 = [[(x + 1) % 7 if x < inf else inf for x in range(8)],
              [inf if x == 0 else 0 if x == inf else (-pow(x, -1, 7)) % 7 for x in range(8)]]
@@ -1017,7 +1035,7 @@ def _outside_corpus_groups():
                 for (a, b), (c, d) in matrices]
 
     sl23 = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
-    specs = {
+    return {
         "PSL(2,7)": (psl27, 168),
         "SL(2,3)": (on_nonzero(sl23), 24),
         "GL(2,3)": (on_nonzero(sl23 + [((2, 0), (0, 1))]), 48),
@@ -1028,9 +1046,17 @@ def _outside_corpus_groups():
         # C_3^2 x| Q_8, Q_8 = <(0 -1; 1 0), (1 1; 1 -1)> in SL(2,3)
         "C3^2:Q8": (_affine_group(3, [((0, 2), (1, 0)), ((1, 1), (1, 2))], [(1, 0), (0, 1)]), 72),
     }
+
+
+OUTSIDE_CORPUS_GENERATORS = _outside_corpus_generators()
+
+
+def _outside_corpus_groups():
+    """The groups of OUTSIDE_CORPUS_GENERATORS by the breadth-first reference,
+    each validated as a table, and a relabeled copy of each."""
     out = {}
     rng = np.random.default_rng(20)
-    for label, (gens, order) in specs.items():
+    for label, (gens, order) in OUTSIDE_CORPUS_GENERATORS.items():
         g = G.FiniteGroup(closed_permutation_table(gens), label=label)
         assert g.order == order, label
         perm = np.concatenate([[0], 1 + rng.permutation(order - 1)])
@@ -1040,6 +1066,21 @@ def _outside_corpus_groups():
 
 
 OUTSIDE_CORPUS = _outside_corpus_groups()
+
+
+@pytest.mark.parametrize("label", list(OUTSIDE_CORPUS_GENERATORS))
+def test_perm_closure_matches_breadth_first_reference(label):
+    """The closure's table is the reference table with each element renamed
+    by the lexicographic rank of its permutation."""
+    gens, order = OUTSIDE_CORPUS_GENERATORS[label]
+    elems = closed_permutations(gens)
+    rank = np.empty(order, dtype=np.int64)
+    rank[sorted(range(order), key=elems.__getitem__)] = np.arange(order)
+    want = np.empty((order, order), dtype=np.int16)
+    want[np.ix_(rank, rank)] = rank[OUTSIDE_CORPUS[label].table]
+    got = G._perm_closure(gens)
+    assert got.order == order and got.table.dtype == np.int16
+    assert got.table.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("g", OUTSIDE_CORPUS.values(), ids=list(OUTSIDE_CORPUS))
@@ -1139,9 +1180,9 @@ def test_direct_product_table_matches_block_loop(a, b):
 
 
 def tables_agree_on_corpus(n_max):
-    """Assert that every cyclic, SD, D and X table of the criterion-1 corpus
-    up to order n_max equals its reference above; returns how many tables
-    were checked (all but the three quaternion and three permutation groups)."""
+    """Assert that every cyclic, SD, D, X, S and A table of the criterion-1
+    corpus up to order n_max equals its reference; returns how many tables
+    were checked (all but the three quaternion groups)."""
     count = 0
     for g in _group_corpus(n_max):
         label = g.label
@@ -1153,6 +1194,10 @@ def tables_agree_on_corpus(n_max):
             want = ref_semidirect_table(g.order // 2, 2, g.order // 2 - 1)
         elif label[0] == "C":
             want = np.add.outer(np.arange(g.order), np.arange(g.order)) % g.order
+        elif label[0] == "S":
+            want = ref_perm_group_table(itertools.permutations(range(int(label[1:]))))
+        elif label[0] == "A":
+            want = ref_alternating_table(int(label[1:]))
         else:
             continue
         assert g.table.dtype == np.int16 and np.array_equal(g.table, want), label
@@ -1161,7 +1206,7 @@ def tables_agree_on_corpus(n_max):
 
 
 def test_tables_agree_on_corpus_to_order_128():
-    assert tables_agree_on_corpus(128) == 1215
+    assert tables_agree_on_corpus(128) == 1218
 
 
 def ref_alternating_table(m):
@@ -1200,15 +1245,16 @@ def test_symmetric_table_matches_product_loop(m):
     assert g.table.tobytes() == ref_perm_group_table(itertools.permutations(range(m))).tobytes()
 
 
-def test_perm_group_refuses_degrees_whose_codes_overflow():
-    """Base-16 codes of 16 points reach 16^16 = 2^64: the reversal once read
-    as the table [[2, 0], [0, 2]].  On 15 points the codes fit int64."""
-    def reversal(m):
-        return [tuple(range(m)), tuple(range(m - 1, -1, -1))]
-
-    assert G._perm_group(reversal(15), "C2").table.tolist() == [[0, 1], [1, 0]]
-    with pytest.raises(G.GroupError, match="degree 16 too large"):
-        G._perm_group(reversal(16), "C2")
+def test_perm_closure_takes_any_degree():
+    """No permutation is ranked by a code, so 16 points and more close as
+    15 do (base-16 codes of 16 points would reach 16^16 = 2^64)."""
+    for m in (15, 16, 22):
+        assert G._perm_closure([tuple(range(m - 1, -1, -1))]).table.tolist() == [[0, 1], [1, 0]]
+    # C_2^11 on 22 points: the swaps of 2i and 2i + 1
+    swaps = [tuple(x ^ 1 if x // 2 == i else x for x in range(22)) for i in range(11)]
+    g = G._perm_closure(swaps)
+    assert g.order == 2048
+    G.FiniteGroup(g.table)  # validated
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,16 @@ def closure_tame_pairs(g, q):
     return out
 
 
+def ref_subgroup(g, elems):
+    """The subgroup of g on the given (closed) element set, reindexed."""
+    el = np.unique(np.asarray(list(elems), dtype=np.int64))
+    sub = g.table[np.ix_(el, el)]
+    if not np.isin(sub, el).all():
+        raise G.GroupError("element set is not closed under multiplication")
+    table = np.searchsorted(el, sub)
+    return G.FiniteGroup(table, label=f"{g.label}|sub{len(el)}", validate=False)
+
+
 def closure_problem_feasible(g, spec):
     """The closure-based per-prime feasibility that the product-formula
     search replaced."""
@@ -105,7 +115,7 @@ def closure_problem_feasible(g, spec):
             if d.size != total:
                 continue
             if spec.group_spec is not None and not G.is_isomorphic(
-                g.subgroup(d), spec.group_spec
+                ref_subgroup(g, d), spec.group_spec
             ):
                 continue
             return True
@@ -195,7 +205,7 @@ def test_tame_pairs_cyclic_commuting_count():
 def test_tame_pairs_depend_on_q_mod_exponent():
     for spec, qs in (("S3", (5, 11, 17)), ("Q8", (3, 7, 11)), ("C6", (7, 13))):
         g = G.parse_group_spec(spec)
-        exponent = g.exponent
+        exponent = int(np.lcm.reduce(g.orders))
         base = {(p.sigma, p.tau) for p in lt.enumerate_tame_pairs(g, qs[0])}
         for q in qs[1:]:
             assert q % exponent == qs[0] % exponent
@@ -358,7 +368,7 @@ def test_residue_degree_matches_closure_on_non_generating_pairs(spec):
             if closure.size == g.order:
                 continue
             s, t = np.searchsorted(closure, [sigma, tau]).tolist()
-            pair = lt.TamePair(group=g.subgroup(closure), sigma=s, tau=t, q=q)
+            pair = lt.TamePair(group=ref_subgroup(g, closure), sigma=s, tau=t, q=q)
             assert pair.verify(), (spec, q, sigma, tau)
             assert pair.residue_degree * pair.inertia_order == closure.size
 
