@@ -8,7 +8,10 @@ free of any external group database.  Five algorithms carry the work:
 * element orders by prime descent from one chain of squares x^(2^i) shared
   by every prime: for each p^a || n, y = x^(n/p^a) is a product of chain
   entries, and the p-part of ord(x) is the least p^k with y^(p^k) = 1;
-  x^n = 1 is checked once, for the least prime;
+  x^n = 1 is checked once, for the least prime.  Every product u*v is one
+  flat take at u*n + v on the raveled table, and every square x^2 one take
+  from the table's diagonal, cached as intp; indices stay intp throughout,
+  since u*n overflows int16;
 * subgroup closure by Dimino's algorithm: whole right cosets H*x are added,
   one gather each, with representatives closed under the generators;
 * S_m and A_m by one Schreier-tree closure of permutation generators: each
@@ -98,6 +101,7 @@ class FiniteGroup:
         self.order = n
         self.label = label
         self._inv = None
+        self._sq = None
         self._pow = None
         self._counts = None
         self._conj = None
@@ -150,6 +154,17 @@ class FiniteGroup:
             self._inv = self.table.argmin(axis=1)  # the column of 0 in each row
         return self._inv
 
+    def _mul(self, u, v) -> np.ndarray:
+        """u*v entrywise (broadcast) for intp indices in range: one take on
+        the raveled table, returned as intp."""
+        return self.table.ravel().take(u * self.order + v).astype(np.intp)
+
+    def _square(self, x) -> np.ndarray:
+        """x*x entrywise for intp indices in range, from the cached diagonal."""
+        if self._sq is None:
+            self._sq = self.table.diagonal().astype(np.intp)
+        return self._sq.take(x)
+
     def _power_data(self):
         """Element orders by prime descent from one shared chain of squares,
         cached in ``_pow``.
@@ -165,22 +180,22 @@ class FiniteGroup:
         makes every bracketing agree.
         """
         if self._pow is None:
-            t, n = self.table, self.order
+            n = self.order
             orders = np.ones(n, dtype=np.int64)
             parts = numtheory.factorize(n).items()
             top = max((n // p**a for p, a in parts), default=1).bit_length()
-            chain = [np.arange(n)]  # chain[i] = x^(2^i)
+            chain = [np.arange(n, dtype=np.intp)]  # chain[i] = x^(2^i)
             while len(chain) < top:
-                chain.append(t[chain[-1], chain[-1]])
+                chain.append(self._square(chain[-1]))
             for i, (p, a) in enumerate(parts):
                 m = n // p**a
                 squares = [c for j, c in enumerate(chain) if m >> j & 1]
-                y = functools.reduce(lambda u, v: t[u, v], squares)  # x^m
+                y = functools.reduce(self._mul, squares)  # x^m
                 np.multiply(orders, p, out=orders, where=y != 0)
                 for _ in range(a - 1):
-                    y = self.powers(p, y)
+                    y = self._powers(p, y)
                     np.multiply(orders, p, out=orders, where=y != 0)
-                if i == 0 and self.powers(p, y).any():  # y^p = x^n
+                if i == 0 and self._powers(p, y).any():  # y^p = x^n
                     raise GroupError("associativity fails: an element order does not divide n")
             self._pow = orders
         return self._pow
@@ -211,42 +226,56 @@ class FiniteGroup:
 
     # -- basic operations ---------------------------------------------------
 
+    def _index(self, g: int) -> int:
+        if not 0 <= g < self.order:
+            raise GroupError(f"element index {g} out of range for order {self.order}")
+        return g
+
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return int(self.table[self._index(a), self._index(b)])
 
     def inverse(self, a: int) -> int:
-        return int(self.inv[a])
+        return int(self.inv[self._index(a)])
 
     def powers(self, m: int, elems=None) -> np.ndarray:
-        """x^m for each x in elems (default: every element), m >= 0, by
-        binary powering on the table: one gather per squaring and one per
-        set bit after the lowest.  For m = 1 an array elems comes back as it is."""
-        t = self.table
-        base = np.arange(self.order) if elems is None else np.asarray(elems)
+        """x^m for each x in elems (default: every element), m >= 0, as intp,
+        by binary powering: one take per squaring (from the cached diagonal)
+        and one flat take per set bit after the lowest.  An index outside
+        0..n-1 is refused by name.  For m = 1 an intp array elems comes back
+        as it is."""
+        if elems is None:
+            return self._powers(m, np.arange(self.order, dtype=np.intp))
+        base = np.asarray(elems)
+        if base.size and base.dtype.kind not in "iu":
+            raise GroupError(f"element indices must be integers, not {base.dtype}")
+        outside = (base < 0) | (base >= self.order)
+        if outside.any():
+            self._index(int(base[outside][0]))  # refuses it by name
+        return self._powers(m, base.astype(np.intp, copy=False))
+
+    def _powers(self, m: int, base: np.ndarray) -> np.ndarray:
         out = None
         while m:
             if m & 1:
-                out = base if out is None else t[out, base]
+                out = base if out is None else self._mul(out, base)
             m >>= 1
             if m:
-                base = t[base, base]
+                base = self._square(base)
         return np.zeros_like(base) if out is None else out
 
     def power(self, g: int, m: int) -> int:
         return int(self.powers(m % self.element_order(g), [g])[0])
 
     def element_order(self, g: int) -> int:
-        if not 0 <= g < self.order:
-            raise GroupError(f"element index {g} out of range for order {self.order}")
-        return int(self.orders[g])
+        return int(self.orders[self._index(g)])
 
     def cyclic_subgroup(self, g: int) -> np.ndarray:
         """g^0, g^1, ..., g^(o-1) for o = ord(g), in that order."""
         o = self.element_order(g)
-        pw = np.zeros(1, dtype=np.int64)
+        pw = np.array([0, g], dtype=np.intp)  # g^0 and g^1: o = 1 only for g = 0
         while pw.size < o:
             # g^0..g^(k-1) times g^k gives g^k..g^(2k-1)
-            pw = np.concatenate([pw, self.table[pw, self.table[pw[-1], g]]])
+            pw = np.concatenate([pw, self._mul(pw, int(self.table[pw[-1], g]))])
         return pw[:o]
 
     def subgroup_closure(self, gens) -> np.ndarray:
@@ -270,12 +299,12 @@ class FiniteGroup:
             used.append(g)
             prev = np.flatnonzero(mask)
             reps = [g]
-            mask[t[prev, g]] = True
+            mask[self._mul(prev, g)] = True
             for r in reps:  # grows while it is walked
                 for s in used:
-                    x = t[r, s]
+                    x = int(t[r, s])
                     if not mask[x]:
-                        mask[t[prev, x]] = True
+                        mask[self._mul(prev, x)] = True
                         reps.append(x)
         return np.flatnonzero(mask)
 
@@ -731,9 +760,9 @@ def _rank_two_pair(g: FiniteGroup, q: int) -> tuple[int, int] | None:
     of order q of T outside <a> commutes with a.
     """
     elems = np.flatnonzero(g.orders == q)
-    a, t, inside = int(elems[0]), g.table, np.zeros(g.order, dtype=bool)
+    a, inside = int(elems[0]), np.zeros(g.order, dtype=bool)
     inside[g.cyclic_subgroup(a)] = True
-    partners = elems[(t[a, elems] == t[elems, a]) & ~inside[elems]]
+    partners = elems[(g.table[a].take(elems) == g._mul(elems, a)) & ~inside[elems]]
     return (a, int(partners[0])) if partners.size else None
 
 
@@ -820,9 +849,10 @@ def frobenius_cyclic_decomposition(g: FiniteGroup) -> FrobeniusDecomposition | N
         k_elems = np.flatnonzero(P % orders == 0)
         h_elems = g.cyclic_subgroup(int(np.argmax(orders == Q)))
         k_nontriv, h_nontriv = k_elems[1:], h_elems[1:]  # both start at 0
-        kh = g.table[np.ix_(k_nontriv, h_nontriv)]
-        hk = g.table[np.ix_(h_nontriv, k_nontriv)]
-        if not (kh == hk.T).any():
+        # kh[i, j] = k_i * h_j against hk[i, j] = h_j * k_i
+        kh = g._mul(k_nontriv[:, None], h_nontriv)
+        hk = g._mul(h_nontriv, k_nontriv[:, None])
+        if not (kh == hk).any():
             return FrobeniusDecomposition(
                 P=int(P),
                 Q=int(Q),

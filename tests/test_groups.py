@@ -96,12 +96,20 @@ def test_element_order_examples():
 @pytest.mark.parametrize("g", [-1, 5])
 def test_element_indices_outside_the_group_are_refused(g):
     """A negative index would wrap around the order array, and one past the
-    end would raise a bare IndexError; each method refuses both by name."""
+    end would raise a bare IndexError; on the flat table a raw index reads
+    another entry (v = n reads row u + 1).  Each method refuses both by name,
+    an index array at its first bad entry, and powers refuses non-integer
+    indices, which its intp cast would truncate."""
     c5 = G.cyclic(5)
     for call in (lambda: c5.power(g, 2), lambda: c5.cyclic_subgroup(g),
-                 lambda: c5.subgroup_closure([1, g])):
+                 lambda: c5.subgroup_closure([1, g]), lambda: c5.mul(g, 2),
+                 lambda: c5.mul(2, g), lambda: c5.inverse(g),
+                 lambda: c5.powers(2, [1, g, 2 * g]),
+                 lambda: c5.powers(0, np.array([g], dtype=np.int16))):
         with pytest.raises(G.GroupError, match=f"element index {g} out of range for order 5"):
             call()
+    with pytest.raises(G.GroupError, match="must be integers, not float64"):
+        c5.powers(2, [1.5])
 
 
 def test_semidirect_s3_example():
@@ -774,15 +782,12 @@ def test_orders_match_power_walk_on_each_chain_shape(spec):
 
 
 def count_table_gathers(g, run):
-    """How many times run(g) indexes g.table, counted by an ndarray subclass."""
+    """How many squarings and products run(g) takes, counted at _square and
+    _mul, the two primitives powers and _power_data gather through."""
     gathers = []
-
-    class Counting(np.ndarray):
-        def __getitem__(self, key):
-            gathers.append(key)
-            return np.asarray(super().__getitem__(key))
-
-    g.table = g.table.view(Counting)
+    for name in ("_mul", "_square"):
+        prim = getattr(g, name)
+        setattr(g, name, lambda *args, prim=prim: gathers.append(args) or prim(*args))
     run(g)
     return len(gathers)
 
@@ -793,9 +798,35 @@ def count_table_gathers(g, run):
     ("C2", G.FiniteGroup._power_data, 1),  # the x^n check alone
     ("C1024", G.FiniteGroup._power_data, 10),  # nine descents and the check
     ("Q32", G.FiniteGroup._power_data, 5),
-], ids=["powers0", "powers2", "C2", "C1024", "Q32"])
+    ("C210", G.FiniteGroup._power_data, 17),  # four primes on one chain
+    ("SD:31,15,2", G.FiniteGroup._power_data, 20),
+], ids=["powers0", "powers2", "C2", "C1024", "Q32", "C210", "SD:31,15,2"])
 def test_table_gathers_per_power(spec, run, want):
     assert count_table_gathers(G.parse_group_spec(spec), run) == want
+
+
+@pytest.mark.parametrize("spec", ["C1", "Q32", "A5", "C210", "SD:31,15,2", "X:C2*C1024"])
+def test_flat_products_are_the_table_entries(spec):
+    """_mul(u, v) is table[u, v] and _square the diagonal, both intp, up to
+    the last flat index 2048^2 - 1; powers(m) and powers(m, elems) are the
+    rows of ref_power_walk for every m in 0..2n, also from int16 elems,
+    where u*n would wrap.  Each also relabeled and validated."""
+    g = G.parse_group_spec(spec)
+    perm = np.concatenate([[0], 1 + np.random.default_rng(23).permutation(g.order - 1)])
+    for h in (g, G.FiniteGroup(G.relabeled(g, perm).table)):
+        n, ar = h.order, np.arange(h.order, dtype=np.intp)
+        for rows in np.array_split(ar, -(-n // 256)):  # blocks of at most 256 x n
+            prod = h._mul(rows[:, None], ar)
+            assert prod.dtype == np.intp and (prod == h.table[rows]).all()
+        assert h._square(ar).dtype == np.intp and (h._square(ar) == h.table.diagonal()).all()
+        pow_table, orders = ref_power_walk(h)
+        elems = h.table[n // 2][::3]  # int16, every third element
+        assert elems.dtype == np.int16
+        for m in range(2 * n + 1):
+            got, some = h.powers(m), h.powers(m, elems)
+            assert got.dtype == some.dtype == np.intp, m
+            assert (got == pow_table[m % orders, ar]).all(), m
+            assert (some == pow_table[m % orders[elems], elems]).all(), m
 
 
 def orders_agree_on_corpus(n_max):
@@ -810,6 +841,24 @@ def orders_agree_on_corpus(n_max):
 
 def test_orders_agree_on_corpus_to_order_128():
     assert orders_agree_on_corpus(128) == 1221
+
+
+def powers_agree_on_corpus(n_max):
+    """Assert that powers(m), m in {2, 3, n - 1, n + 1}, of every group of the
+    criterion-1 corpus up to order n_max is the row of ref_power_walk;
+    returns how many groups were checked."""
+    count = 0
+    for g in _group_corpus(n_max):
+        pow_table, orders = ref_power_walk(g)
+        n, ar = g.order, np.arange(g.order)
+        for m in {2, 3, n - 1, n + 1}:
+            assert (g.powers(m) == pow_table[m % orders, ar]).all(), (g.label, m)
+        count += 1
+    return count
+
+
+def test_powers_agree_on_corpus_to_order_128():
+    assert powers_agree_on_corpus(128) == 1221
 
 
 # References for the classification: its three scans without the order
