@@ -36,7 +36,9 @@ Any group can also come from a JSON file (see :func:`parse_group_spec`): an
 object whose "table" is a square array of arrays of non-negative JSON
 integers, and whose "order", if present, is an integer equal to the row
 count.  Other keys are ignored.  The table is read by whole-buffer byte
-passes into int32, without a Python int per entry.  Every table is stored
+passes into int32, without a Python int per entry.  Its entries are parsed
+as two halves on two threads, cut at a comma: ``np.fromstring`` releases
+the GIL, and it is about half of the read.  Every table is stored
 as int16, since ORDER_CAP < 2^15 bounds every entry.  A validated
 table is decided exactly at every order (see :meth:`FiniteGroup.check_table`):
 entries in range, identity at 0, x^n = 1 for every x, and associativity by
@@ -61,6 +63,7 @@ import json
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,8 +244,10 @@ class FiniteGroup:
         """x^m for each x in elems (default: every element), m >= 0, as intp,
         by binary powering: one take per squaring (from the cached diagonal)
         and one flat take per set bit after the lowest.  An index outside
-        0..n-1 is refused by name.  For m = 1 an intp array elems comes back
-        as it is."""
+        0..n-1 is refused by name, and so is m < 0.  For m = 1 an intp array
+        elems comes back as it is."""
+        if m < 0:
+            raise GroupError(f"power exponent m = {m} is negative")
         if elems is None:
             return self._powers(m, np.arange(self.order, dtype=np.intp))
         base = np.asarray(elems)
@@ -532,6 +537,48 @@ def _table_end(text: str, pos: int) -> int:
     raise GroupError(f"table has more than {ORDER_CAP} rows")
 
 
+def _parse_entries(flat: bytes) -> np.ndarray:
+    """The comma-separated integers of flat, as int32, parsed as two halves
+    on two threads: ``np.fromstring`` releases the GIL, and on a large table
+    it is about half of :func:`_read_table`.  The halves meet just after the
+    first comma at or after the middle; the left one is parsed on a worker
+    thread, the right one here.  A table with no comma cuts at 0, so its
+    left half is empty.
+
+    The cut is sound on the bytes :func:`_read_table` passes.  They hold only
+    digits and commas, and after its per-row count exactly n^2 - 1 commas,
+    so n^2 slots.  A cut at a comma leaves every token whole, in one half or
+    the other, so the left values then the right ones are those of flat in
+    order.  ``np.fromstring`` accepts a trailing comma, so the cut comma,
+    which the left half keeps, leaves an empty slot there that gives no
+    value and raises no error.  A real empty slot raises ``ValueError`` in
+    its half, unless it is the last slot of flat: that gives no value, as it
+    did when flat was parsed whole, and ``values.size != n*n`` in the caller
+    refuses it.
+
+    Whatever the worker raises is raised here after the join, which runs in
+    a ``finally``, so no thread outlives the call.
+    """
+    cut = flat.find(b",", len(flat) // 2) + 1
+    left = []  # the left half's values, or what parsing it raised
+
+    def parse_left():
+        try:
+            left.append(np.fromstring(flat[:cut], dtype=np.int32, sep=","))
+        except BaseException as exc:
+            left.append(exc)
+
+    worker = threading.Thread(target=parse_left)
+    worker.start()
+    try:
+        right = np.fromstring(flat[cut:], dtype=np.int32, sep=",")
+    finally:
+        worker.join()
+    if isinstance(left[0], BaseException):
+        raise left[0]
+    return np.concatenate([left[0], right])
+
+
 def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
     """The table value that starts at text[pos], as an n x n int32 array, and
     the offset just past it.  It is parsed into int32, wide enough for the
@@ -541,11 +588,13 @@ def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
     Whole-buffer byte passes stand in for a JSON parse, so no Python int is
     built per entry.  With whitespace dropped the table must read
     "[[" row "],[" ... "],[" row "]]", each row n tokens of digits between
-    n - 1 commas; ``np.fromstring`` parses the rows joined by commas.  The
-    digit runs of the raw bytes, found by one uint8 compare, must be the n^2
-    tokens (no whitespace inside a number), and the parsed values must
-    account for every digit (no leading zero, no number that wrapped in
-    int32).
+    n - 1 commas; :func:`_parse_entries` parses the rows joined by commas,
+    as two halves on two threads, since ``np.fromstring`` releases the GIL
+    and is about half of this read; its docstring gives the argument that
+    the cut changes no answer.  The digit runs of the raw bytes, found by
+    one uint8 compare, must be the n^2 tokens (no whitespace inside a
+    number), and the parsed values must account for every digit (no leading
+    zero, no number that wrapped in int32).
     """
     end = _table_end(text, pos)
     raw = text[pos:end].encode()
@@ -560,7 +609,7 @@ def _read_table(text: str, pos: int) -> tuple[np.ndarray, int]:
     if any(row.count(b",") != n - 1 for row in rows):
         raise GroupError("Cayley table must be square")
     try:
-        values = np.fromstring(flat, dtype=np.int32, sep=",")
+        values = _parse_entries(flat)
     except ValueError as exc:  # an empty token: ",," or a comma at a row end
         raise GroupError(_NOT_A_TABLE) from exc
     # as many digit runs before whitespace was dropped, or "1 2" was read as 12;

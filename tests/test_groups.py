@@ -7,6 +7,8 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from unittest import mock
 
@@ -110,6 +112,16 @@ def test_element_indices_outside_the_group_are_refused(g):
             call()
     with pytest.raises(G.GroupError, match="must be integers, not float64"):
         c5.powers(2, [1.5])
+
+
+@pytest.mark.parametrize("m", [-1, -2, -7])
+def test_negative_power_exponents_are_refused(m):
+    # binary powering shifts m right until it is 0, and -1 >> 1 is -1
+    c5 = G.cyclic(5)
+    for call in (lambda: c5.powers(m), lambda: c5.powers(m, [1, 2])):
+        with pytest.raises(G.GroupError, match=f"m = {m} is negative"):
+            call()
+    assert c5.power(2, m) == 2 * m % 5  # power reduces m mod ord(g) first
 
 
 def test_semidirect_s3_example():
@@ -1500,6 +1512,29 @@ def test_table_reader_on_benchmark_tables(tmp_path, spec):
     assert_read_alike(path)
 
 
+def tables_read_alike_on_corpus(n_max):
+    """Assert that every group of the criterion-1 corpus up to order n_max,
+    relabeled by a seeded permutation fixing 0 and written with json.dumps,
+    reads back through parse_group_spec as the same table; returns how many
+    tables were checked."""
+    rng = np.random.default_rng(0)
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        for g in _group_corpus(n_max):
+            want = G.relabeled(g, np.concatenate([[0], 1 + rng.permutation(g.order - 1)])).table
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({"order": g.order, "table": want.tolist()}))
+            got = G.parse_group_spec(path).table
+            assert got.dtype == np.int16 and np.array_equal(got, want), g.label
+            count += 1
+    return count
+
+
+def test_tables_read_alike_on_corpus_to_order_64():
+    assert tables_read_alike_on_corpus(64) == 500
+
+
 _C12 = json.dumps(G.cyclic(12).table.tolist())
 
 
@@ -1510,6 +1545,8 @@ _C12 = json.dumps(G.cyclic(12).table.tolist())
     '{"table": ' + _C12.replace("10", "1\n0", 1) + "}",
     '{"table": [[0, 1], [2, 1, 2, 0], [2, 0, 1]]}',
     '{"table": [50, 1], [1, 0]]}',
+    # and once the digits are deleted: this reads "[[,],[,]]", C2's skeleton
+    '{"table": [[0,]1,[1,0]]}',
 ])
 def test_table_reader_refuses_defects_that_hide_a_group(tmp_path, doc):
     path = tmp_path / "g.json"
@@ -1547,4 +1584,75 @@ def test_table_reader_refuses_deep_nesting(tmp_path):
     path = tmp_path / "g.json"
     path.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + ', "table": [[0]]}')
     with pytest.raises(G.GroupError):
+        G.parse_group_spec(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the two halves that _parse_entries parses on two threads
+
+
+def _cut(flat):
+    """Where _parse_entries cuts the joined entries: just after the first
+    comma at or after the middle (0 when there is none)."""
+    return flat.find(",", len(flat) // 2) + 1
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("defect", [",,", "1 0"])
+def test_defects_beside_the_cut_are_refused(tmp_path, side, defect):
+    """One defect in the last token of the left half or the first of the
+    right half of C15's entries: an emptied token (",,") or a two-digit
+    token split by a space ("1 0"), each refused with no thread left
+    running."""
+    tokens = [str(x) for x in G.cyclic(15).table.ravel()]
+    flat = ",".join(tokens)
+    j = flat[: _cut(flat)].count(",")  # the left half holds tokens[:j]
+    k = j - 1 if side == "left" else j
+    assert len(tokens[k]) == 2
+    tokens[k] = "" if defect == ",," else tokens[k][0] + " " + tokens[k][1]
+    flat = ",".join(t.replace(" ", "") for t in tokens)
+    if defect == ",,":  # the emptied token is on its side of the cut
+        assert (k < flat[: _cut(flat)].count(",")) == (side == "left")
+    rows = [",".join(tokens[i : i + 15]) for i in range(0, len(tokens), 15)]
+    path = tmp_path / "g.json"
+    path.write_text('{"table": [[' + "],[".join(rows) + "]]}")
+    before = threading.active_count()
+    with pytest.raises(G.GroupError, match="must be an array of arrays"):
+        G.parse_group_spec(str(path))
+    assert threading.active_count() == before
+
+
+def test_a_fault_in_the_worker_half_reaches_the_caller(tmp_path, monkeypatch):
+    # the worker parses the left half: what it raises is raised again after
+    # the join, as itself, and no thread is left running
+    real = np.fromstring
+
+    def fromstring(data, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("left half")
+        return real(data, *args, **kwargs)
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"table": G.cyclic(12).table.tolist()}))
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="left half"):
+        G.parse_group_spec(str(path))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("doc", ['{"table": [[0]]}', '{"table": [[0, 1], [1, 0]]}'])
+def test_tables_with_and_without_a_comma_read_alike(tmp_path, doc):
+    # [[0]] has no comma to cut at: its left half is empty
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    assert_read_alike(path)
+
+
+def test_table_reader_refuses_negative_zero(tmp_path):
+    # json.load reads -0 as the int 0; the reader refuses any minus sign
+    path = tmp_path / "g.json"
+    path.write_text('{"table": [[-0]]}')
+    assert ref_read_table_file(str(path)).order == 1
+    with pytest.raises(G.GroupError, match="must be an array of arrays"):
         G.parse_group_spec(str(path))
