@@ -22,9 +22,11 @@ free of any external group database.  Five algorithms carry the work:
   conjugate (Schur-Zassenhaus), so one complement decides;
 * the classification reads one count of element orders, order_counts[d] =
   |{x : ord(x) = d}|, and scans the orders only where the count allows a
-  witness: C_q x C_q needs q^2 - 1 elements of order q, a C_2 x C_2 three
-  involutions, and K = {x : ord(x) | P} needs the counts over d | P to sum
-  to P.
+  witness: C_q x C_q needs q^2 | n and q^2 - 1 elements of order q, a
+  C_2 x C_2 three involutions, and K = {x : ord(x) | P} needs the counts
+  over d | P to sum to P, and, since a Frobenius group is the union of its
+  kernel and the conjugates of its complement, those over d | P or d | Q
+  to sum to n.
 
 One row of the table decides whether G contains C_q x C_q, and so both the
 obstruction witness and the quaternion Sylow shape (:func:`_rank_two_pair`).
@@ -394,19 +396,24 @@ def semidirect_cyclic(P: int, Q: int, k: int) -> FiniteGroup:
     cycle = [1 % P]  # kbar^j mod P repeats with the order of kbar, which divides Q
     while (x := cycle[-1] * kbar % P) != cycle[0]:
         cycle.append(x)
-    kbar_pows = np.array(cycle * (Q // len(cycle)), dtype=np.int32)
-    # block structure: the (i1, i2) part depends on j1 only and the j part is
-    # a Q x Q pattern, so the modular work stays at P*n.  Each table row is
-    # built whole, a core row tiled Q times plus a row of P * (j1 + j2 mod Q):
-    # a broadcast over (j1, i1, j2, i2) would run n^2/P inner loops of P.
+    L = len(cycle)
+    # block structure: the (i1, i2) part depends on j1 only through kbar^j1,
+    # so row block j1 repeats row block j1 mod L, and the j part is a Q x Q
+    # pattern.  Only the L distinct row blocks are built, each row whole, a
+    # core row tiled Q times: a broadcast over (j1, i1, j2, i2) would run
+    # n^2/P inner loops of P.  The L blocks are then tiled Q/L times, one
+    # whole-block copy each, and a row of P * (j1 + j2 mod Q) added.
     # The product kbar^j1 * i2 reaches about 4*10^6, so it is taken in int32.
+    kbar_pows = np.array(cycle, dtype=np.int32)  # kbar^j1 for j1 < L
     twists = (kbar_pows[:, None] * ip % P).astype(np.uint16)  # kbar^j1 * i2 mod P
     core = ip.astype(np.uint16)[None, :, None] + twists[:, None, :]  # below 2P
     # (i1 + twist) mod P without a division: in uint16, core - P wraps above
     # core when core < P, so the minimum of the two is the residue
-    core = np.minimum(core, core - P, out=core).view(np.int16)  # core[j1, i1, i2]
-    # each core row Q times over: table[j1, i1, j2*P + i2] = core[j1, i1, i2]
-    table = core.reshape(-1, P).repeat(Q, axis=0).reshape(Q, P, n)
+    core = np.minimum(core, core - P, out=core).view(np.int16)  # core[j1, i1, i2], j1 < L
+    # each core row Q times over: blocks[j1, i1, j2*P + i2] = core[j1, i1, i2]
+    blocks = core.reshape(-1, P).repeat(Q, axis=0).reshape(L, P, n)
+    # np.tile copies even at one repetition, so L = Q keeps the blocks as they are
+    table = blocks if L == Q else np.tile(blocks, (Q // L, 1, 1))
     jrow = np.repeat(P * np.arange(Q, dtype=np.int16), P)  # jrow[j2*P + i2] = P*j2
     table += _rotations(jrow, P)[:, None, :]  # P * (j1 + j2 mod Q)
     return FiniteGroup(table.reshape(n, n), label=f"SD:{P},{Q},{k}", validate=False)
@@ -502,12 +509,20 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def relabeled(g: FiniteGroup, perm) -> FiniteGroup:
-    """The same group with elements renamed by a bijection fixing 0."""
+    """The same group with elements renamed by a bijection fixing 0: element
+    x of g is element perm[x] of the result."""
     perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != (g.order,):
+        raise GroupError(f"relabeling has shape {perm.shape}, expected ({g.order},)")
+    not_a_permutation = f"relabeling is not a permutation of 0..{g.order - 1}"
+    if perm.min() < 0 or perm.max() >= g.order:
+        raise GroupError(not_a_permutation)
     if perm[0] != 0:
         raise GroupError("relabeling must fix the identity")
-    inv_perm = np.empty_like(perm)
+    inv_perm = np.full_like(perm, -1)
     inv_perm[perm] = np.arange(g.order)
+    if (inv_perm < 0).any():  # a slot no entry of perm reached: perm repeats an entry
+        raise GroupError(not_a_permutation)
     table = perm[g.table[np.ix_(inv_perm, inv_perm)]]
     return FiniteGroup(table, label=f"{g.label}~", validate=False)
 
@@ -725,11 +740,17 @@ class ObstructionWitness:
     witness: tuple[int, ...]
 
     def verify(self, g: FiniteGroup) -> bool:
-        """Recompute the witness property directly from the Cayley table."""
+        """Recompute the witness property directly from the Cayley table.  A
+        witness of an unknown kind, of the wrong length for its kind, or with
+        an index outside the group is not one."""
+        arity = {NON_CYCLIC_ABELIAN: 2, COMPOSITE_ORDER_ELEMENT: 1, ORDER_FOUR_ELEMENT: 1}
+        if len(self.witness) != arity.get(self.kind):
+            return False
         if not all(0 <= x < g.order for x in self.witness):
             return False
+        a = self.witness[0]
         if self.kind == NON_CYCLIC_ABELIAN:
-            a, b = self.witness
+            b = self.witness[1]
             oa, ob = g.element_order(a), g.element_order(b)
             if oa != ob or not numtheory.is_prime(oa):
                 return False
@@ -737,12 +758,8 @@ class ObstructionWitness:
                 return False
             return b not in set(g.cyclic_subgroup(a).tolist())
         if self.kind == COMPOSITE_ORDER_ELEMENT:
-            (a,) = self.witness
             return len(numtheory.factorize(g.element_order(a))) >= 2
-        if self.kind == ORDER_FOUR_ELEMENT:
-            (a,) = self.witness
-            return g.element_order(a) == 4
-        return False
+        return g.element_order(a) == 4  # ORDER_FOUR_ELEMENT
 
     def as_dict(self):
         return {"kind": self.kind, "witness": [int(x) for x in self.witness]}
@@ -822,13 +839,15 @@ def detect_obstructions(g: FiniteGroup) -> list[ObstructionWitness]:
     order generating a non-cyclic abelian subgroup, an element whose order
     has two distinct prime divisors, and an element of order exactly 4.
     Each is the first element of its order, so an order is scanned for only
-    when :attr:`FiniteGroup.order_counts` shows that it occurs.
+    when :attr:`FiniteGroup.order_counts` shows that it occurs.  C_q x C_q
+    has order q^2 and holds q^2 - 1 elements of order q, so G contains none
+    unless q^2 divides n (Lagrange) and at least q^2 - 1 elements have order
+    q; only then is :func:`_rank_two_pair` run for q.
     """
     out = []
     orders, counts = g.orders, g.order_counts
-    for q in sorted(numtheory.factorize(g.order)):
-        # C_q x C_q holds q^2 - 1 elements of order q, so fewer rule it out
-        if counts[q] < q * q - 1:
+    for q, a in sorted(numtheory.factorize(g.order).items()):
+        if a < 2 or counts[q] < q * q - 1:
             continue
         pair = _rank_two_pair(g, q)
         if pair is not None:
@@ -884,7 +903,15 @@ def frobenius_cyclic_decomposition(g: FiniteGroup) -> FrobeniusDecomposition | N
     order P.  Its complements are all conjugate (Schur-Zassenhaus), so H is
     the cyclic subgroup of the first element of order Q.  The set has as
     many elements as the sum of order_counts[d] over d | P, so K and H are
-    built only for a P that passes that count.
+    built only for a P that passes that count, and a second one: every
+    element of such a group K x| H has order dividing P or Q (the Frobenius
+    partition).  For if k^-1 h k = h' with h, h' in H and k in K, then
+    k^-1 (h k h^-1) = h' h^-1 lies in K and in H, so is 1, and h commutes
+    with k.  So the P conjugates of H by K meet pairwise in 1, and their
+    P(Q - 1) elements other than 1, of order dividing Q, lie outside K:
+    with K's P elements they are all n.  A P for which the counts over
+    d | P or d | Q do not sum to n is therefore skipped before K and H are
+    built.  Cyclic and abelian groups fail it at once.
     """
     n, orders, counts = g.order, g.orders, g.order_counts
     divs = numtheory.divisors(n)
@@ -894,6 +921,8 @@ def frobenius_cyclic_decomposition(g: FiniteGroup) -> FrobeniusDecomposition | N
         if P == 1 or P == n or (P - 1) % Q:
             continue
         if not counts[P] or not counts[Q] or sum(counts[d] for d in divs if P % d == 0) != P:
+            continue
+        if sum(counts[d] for d in divs if P % d == 0 or Q % d == 0) != n:
             continue
         k_elems = np.flatnonzero(P % orders == 0)
         h_elems = g.cyclic_subgroup(int(np.argmax(orders == Q)))

@@ -434,6 +434,19 @@ def test_obstruction_witness_verify_refuses_indices_outside_the_group(spec):
                 assert G.ObstructionWitness(w.kind, tuple(bad)).verify(g) is False, (w, bad)
 
 
+@pytest.mark.parametrize(
+    "kind, witness",
+    [(G.NON_CYCLIC_ABELIAN, (1,)), (G.NON_CYCLIC_ABELIAN, (1, 2, 3)), (G.NON_CYCLIC_ABELIAN, ()),
+     (G.COMPOSITE_ORDER_ELEMENT, (1, 2)), (G.ORDER_FOUR_ELEMENT, (1, 2)), (G.ORDER_FOUR_ELEMENT, ()),
+     ("Unknown", (1,))],
+)
+def test_obstruction_witness_of_the_wrong_arity_is_refused(kind, witness):
+    g = G.parse_group_spec("X:C4*C6")  # every kind has a witness here
+    assert {w.kind for w in G.detect_obstructions(g)} == {
+        G.NON_CYCLIC_ABELIAN, G.COMPOSITE_ORDER_ELEMENT, G.ORDER_FOUR_ELEMENT}
+    assert G.ObstructionWitness(kind, witness).verify(g) is False
+
+
 def ref_non_cyclic_abelian_witness(g):
     """The first commuting pair (a, b) of equal prime order q with b outside
     <a>, for the least such q, as np.argwhere finds it over the elements of
@@ -585,6 +598,17 @@ def test_classify_is_relabeling_invariant():
             assert sorted(w.kind for w in r.obstructions) == sorted(
                 w.kind for w in base.obstructions
             )
+
+
+@pytest.mark.parametrize(
+    "perm, message",
+    [([0, 1, 1, 3], "not a permutation"), ([0, 1, 2], "shape"), ([0, 1, 2, 3, 4], "shape"),
+     ([0, 1, 2, 4], "not a permutation"), ([0, -1, 2, 3], "not a permutation"),
+     ([1, 0, 2, 3], "fix the identity")],
+)
+def test_relabeling_must_be_a_permutation(perm, message):
+    with pytest.raises(G.GroupError, match=message):
+        G.relabeled(G.cyclic(4), perm)
 
 
 def test_parse_group_spec():
@@ -1170,6 +1194,36 @@ def test_order_count_bounds_are_met_at_their_edges():
     assert G.sylow_shape(g, 2) == G.SylowShape(G.SYLOW_GENERALIZED_QUATERNION, 8)
 
 
+def test_rank_two_scan_needs_q_squared_to_divide_the_order():
+    """SD:23,22,20 (order 506 = 2 * 11 * 23) has enough elements of orders 2
+    and 11 for the count bound, but neither 4 nor 121 divides 506."""
+    g = G.parse_group_spec("SD:23,22,20")
+    assert g.order_counts[11] == 230 >= 11**2 - 1 and g.order_counts[2] >= 3
+    with mock.patch.object(G, "_rank_two_pair", side_effect=AssertionError("scanned")):
+        got = G.classify(g).as_dict()
+    assert G.NON_CYCLIC_ABELIAN not in [w["kind"] for w in got["obstructions"]]
+    assert got["obstructions"] == [w.as_dict() for w in unpruned_detect_obstructions(g)]
+    assert_classify_unpruned(g)
+
+
+def test_frobenius_partition_count_skips_before_building():
+    """C21 passes the kernel count for P = 7, Q = 3, but only 9 of its 21
+    elements have order dividing 7 or 3, so no product is taken."""
+    g = G.cyclic(21)
+    assert [g.order_counts[d] for d in (7, 3, 21)] == [6, 2, 12]
+    with mock.patch.object(G.FiniteGroup, "_mul", side_effect=AssertionError("built")):
+        assert G.frobenius_cyclic_decomposition(g) is None
+
+
+@pytest.mark.parametrize("spec", ["SD:7,3,2", "SD:73,8,10", "D15"])
+def test_frobenius_partition_count_is_met_at_its_edge(spec):
+    g = G.parse_group_spec(spec)
+    frob = G.frobenius_cyclic_decomposition(g)
+    assert frob is not None and frob == unpruned_frobenius(g) == ref_frobenius(g)
+    divs = nt.divisors(g.order)
+    assert sum(g.order_counts[d] for d in divs if frob.P % d == 0 or frob.Q % d == 0) == g.order
+
+
 @pytest.mark.parametrize("spec", ["C2048", "D1024", "SD:1023,2,1022", "SD:241,8,8", "X:C8*D64"])
 def test_classify_is_relabeling_invariant_at_the_order_cap(spec):
     g = G.parse_group_spec(spec)
@@ -1204,12 +1258,44 @@ def ref_semidirect_table(P, Q, k):
     [(1, 1, 0), (1, 6, 0), (5, 1, 1), (2, 2, 1), (7, 3, 2), (13, 4, 5), (61, 4, 11),
      (31, 5, 2), (19, 9, 4), (73, 8, 10), (17, 16, 3), (241, 8, 8), (1023, 2, 1022),
      # the largest intermediates: core at P = n, twists near 4*10^6, the longest repeat at P = 2
-     (2048, 1, 1), (1024, 2, 1023), (2, 1024, 1)],
+     (2048, 1, 1), (1024, 2, 1023), (2, 1024, 1),
+     # 1 < L < Q distinct row blocks, L the order of k mod P, tiled Q/L times
+     (7, 6, 2), (9, 6, 4), (13, 12, 5), (3, 682, 2), (31, 66, 5)],
 )
 def test_semidirect_table_matches_block_loop(P, Q, k):
     table = G.semidirect_cyclic(P, Q, k).table
-    assert table.dtype == np.int16
+    assert table.dtype == np.int16 and table.flags.c_contiguous
     assert np.array_equal(table, ref_semidirect_table(P, Q, k))
+
+
+@functools.lru_cache(maxsize=1)
+def semidirect_triples_above_corpus():
+    """Every SD:P,Q,k, 0 <= k < P, with 512 < P*Q <= 2048 whose row blocks
+    repeat with a period L < Q, L being the order of k mod P."""
+    out = []
+    for P in range(1, 1025):
+        units = [(k, nt.multiplicative_order_mod(k, P)) for k in range(P) if math.gcd(k, P) == 1]
+        for Q in range(512 // P + 1, 2048 // P + 1):
+            out += [(P, Q, k) for k, L in units if Q % L == 0 and L < Q]
+    return out
+
+
+def semidirect_tables_agree(count, seed):
+    """Assert that count SD tables above the corpus orders, drawn by seed
+    from :func:`semidirect_triples_above_corpus`, equal their block-loop
+    references; returns how many were checked."""
+    triples = semidirect_triples_above_corpus()
+    checked = 0
+    for i in np.random.default_rng(seed).choice(len(triples), size=count, replace=False):
+        P, Q, k = triples[i]
+        assert np.array_equal(G.semidirect_cyclic(P, Q, k).table, ref_semidirect_table(P, Q, k)), (P, Q, k)
+        checked += 1
+    return checked
+
+
+def test_semidirect_tables_agree_above_the_corpus():
+    assert len(semidirect_triples_above_corpus()) == 29083  # 27547 with P > 1
+    assert semidirect_tables_agree(40, 0) == 40
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 2048])
