@@ -40,7 +40,6 @@ from .groups import (
     direct_product,
     frobenius_cyclic_decomposition,
     generalized_quaternion,
-    is_isomorphic,
     parse_group_spec,
     semidirect_cyclic,
     sylow_shape,

@@ -422,27 +422,31 @@ def semidirect_cyclic(P: int, Q: int, k: int) -> FiniteGroup:
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (rotations r^i, reflections r^i s)."""
     if n < 1 or 2 * n > ORDER_CAP:
-        raise GroupError(f"dihedral parameter {n} out of range")
+        raise GroupError(f"dihedral parameter {n} outside 1..{ORDER_CAP // 2}")
     g = semidirect_cyclic(n, 2, n - 1)
     return FiniteGroup(g.table, label=f"D{n}", validate=False)
 
 
 def generalized_quaternion(order: int) -> FiniteGroup:
-    """Generalized quaternion group of the given 2-power order >= 8.
+    """Generalized quaternion group of a 2-power order N, 8 <= N <= ORDER_CAP.
 
-    Presentation x^(order/2) = 1, y^2 = x^(order/4), y^-1 x y = x^-1;
-    element x^i y^j is indexed as i + (order/2)*j.
+    Presentation x^(N/2) = 1, y^2 = x^(N/4), y^-1 x y = x^-1; element x^i y^j
+    is indexed as i + (N/2)*j.  This is D_(N/2) = SD:N/2,2,N/2-1, indexed
+    alike, but for y^2: x^i y * x^k y = x^(i-k) y^2 = x^(i-k+N/4), so the
+    dihedral table's quadrant of products x^i y * x^k y is shifted by N/4
+    mod N/2.
     """
     N = int(order)
     if N < 8 or N & (N - 1) or N > ORDER_CAP:
-        raise GroupError(f"generalized quaternion order must be a 2-power >= 8, got {N}")
+        raise GroupError(
+            f"generalized quaternion order must be a 2-power in 8..{ORDER_CAP}, got {N}"
+        )
     half = N // 2
-    idx = np.arange(N, dtype=np.int64)
-    i1, j1 = (idx % half)[:, None], (idx // half)[:, None]
-    i2, j2 = (idx % half)[None, :], (idx // half)[None, :]
-    i = np.where(j1 == 0, i1 + i2, i1 - i2 + np.where(j2 == 1, half // 2, 0)) % half
-    j = (j1 + j2) % 2
-    return FiniteGroup(i + half * j, label=f"Q{N}", validate=False)
+    table = semidirect_cyclic(half, 2, half - 1).table.copy()
+    # the quadrant holds 0..half-1, and for a 2-power half, adding half/2
+    # mod half flips the bit of half/2
+    table[half:, half:] ^= half // 2
+    return FiniteGroup(table, label=f"Q{N}", validate=False)
 
 
 def _perm_closure(gens, label: str = "G") -> FiniteGroup:
@@ -480,8 +484,8 @@ def _perm_closure(gens, label: str = "G") -> FiniteGroup:
 
 def symmetric(m: int) -> FiniteGroup:
     """S_m from (0 1) and (0 1 ... m-1); S_1 from its one element."""
-    if m < 1 or math.factorial(m) > ORDER_CAP:
-        raise GroupError(f"symmetric degree {m} out of range")
+    if not 1 <= m <= ORDER_CAP or math.factorial(m) > ORDER_CAP:  # m <= m!: a small m!
+        raise GroupError(f"symmetric degree {m} out of range: needs 1 <= m, m! <= {ORDER_CAP}")
     cycle = tuple(range(1, m)) + (0,)
     gens = [cycle] if m == 1 else [(1, 0) + tuple(range(2, m)), cycle]
     return _perm_closure(gens, f"S{m}")
@@ -489,8 +493,8 @@ def symmetric(m: int) -> FiniteGroup:
 
 def alternating(m: int) -> FiniteGroup:
     """A_m from the 3-cycles (0 1 i), 2 <= i < m."""
-    if m < 3 or math.factorial(m) // 2 > ORDER_CAP:
-        raise GroupError(f"alternating degree {m} out of range")
+    if not 3 <= m <= ORDER_CAP or math.factorial(m) // 2 > ORDER_CAP:  # as in symmetric
+        raise GroupError(f"alternating degree {m} out of range: needs 3 <= m, m!/2 <= {ORDER_CAP}")
     gens = [[{0: 1, 1: i, i: 0}.get(x, x) for x in range(m)] for i in range(2, m)]
     return _perm_closure(gens, f"A{m}")
 
@@ -510,15 +514,19 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 def relabeled(g: FiniteGroup, perm) -> FiniteGroup:
     """The same group with elements renamed by a bijection fixing 0: element
-    x of g is element perm[x] of the result."""
-    perm = np.asarray(perm, dtype=np.int64)
+    x of g is element perm[x] of the result.  The table is gathered in int16,
+    as it is stored."""
+    perm = np.asarray(perm)
     if perm.shape != (g.order,):
         raise GroupError(f"relabeling has shape {perm.shape}, expected ({g.order},)")
+    if perm.dtype.kind not in "iu":  # a float would truncate, as in FiniteGroup
+        raise GroupError(f"relabeling entries must be integers, not {perm.dtype}")
     not_a_permutation = f"relabeling is not a permutation of 0..{g.order - 1}"
     if perm.min() < 0 or perm.max() >= g.order:
         raise GroupError(not_a_permutation)
     if perm[0] != 0:
         raise GroupError("relabeling must fix the identity")
+    perm = perm.astype(np.int16)  # in range, so below ORDER_CAP < 2^15
     inv_perm = np.full_like(perm, -1)
     inv_perm[perm] = np.arange(g.order)
     if (inv_perm < 0).any():  # a slot no entry of perm reached: perm repeats an entry
@@ -684,9 +692,18 @@ def _read_table_file(path: str) -> FiniteGroup:
     return FiniteGroup(fields["table"], label=os.path.basename(path))
 
 
+_FAMILIES = {
+    "C": cyclic, "D": dihedral, "Q": generalized_quaternion, "S": symmetric, "A": alternating
+}
+
+
 def parse_group_spec(spec: str) -> FiniteGroup:
-    """Parse "C<n>", "D<n>", "Q<8|16|32>", "S<3|4>", "A<4|5>", "SD:<P>,<Q>,<k>",
+    """Parse "C<n>", "D<n>", "Q<n>", "S<n>", "A<n>", "SD:<P>,<Q>,<k>",
     "X:<spec>*<spec>", or a path to a JSON file {"order": n, "table": [[...]]}.
+
+    A family letter and a number go to that family's constructor
+    (:data:`_FAMILIES`), whose own bound decides the range: C<1..2048>,
+    D<1..1024> (order 2n), Q<2^k> for 8 <= 2^k <= 2048, S<1..6> and A<3..6>.
     """
     spec = spec.strip()
     if not spec:
@@ -707,27 +724,10 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         except ValueError as exc:
             raise GroupError(f"bad semidirect spec {spec!r}") from exc
         return semidirect_cyclic(P, Q, k)
-    head, tail = spec[0], spec[1:]
-    if not tail.isdigit():
+    family, tail = _FAMILIES.get(spec[0]), spec[1:]
+    if family is None or not tail.isdecimal():  # isdigit() passes "²", which int() refuses
         raise GroupError(f"unrecognized group spec {spec!r}")
-    n = int(tail)
-    if head == "C":
-        return cyclic(n)
-    if head == "D":
-        return dihedral(n)
-    if head == "Q":
-        if n not in (8, 16, 32):
-            raise GroupError("quaternion specs are Q8, Q16, Q32")
-        return generalized_quaternion(n)
-    if head == "S":
-        if n not in (3, 4):
-            raise GroupError("symmetric specs are S3, S4")
-        return symmetric(n)
-    if head == "A":
-        if n not in (4, 5):
-            raise GroupError("alternating specs are A4, A5")
-        return alternating(n)
-    raise GroupError(f"unrecognized group spec {spec!r}")
+    return family(int(tail))
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,11 @@ def parse_rational(text: str) -> Fraction:
 def p_split(x: int | Fraction, p: int) -> tuple[int, int]:
     """The p-adic split x = p^v * u of a nonzero int or Fraction x, u a
     p-unit, as (v, u mod p): v = v_p(x), and u mod p the residue of x / p^v.
-    One pass strips p from the numerator and from the denominator."""
+    One pass strips p from the numerator and from the denominator.  A p below
+    2 is refused by name: at p = 1 or -1 the strip would never end, and at
+    p = 0 it would divide by zero."""
+    if p < 2:
+        raise ValueError(f"p-adic split needs p >= 2, got p = {p}")
     num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("valuation of zero is undefined")

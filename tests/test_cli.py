@@ -162,6 +162,21 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "--json", "classify", "S3")[0] == 1
 
 
+@pytest.mark.parametrize("spec", ["Q2048", "S5", "S6", "A6"])
+def test_family_specs_up_to_their_constructors_bounds_classify(capsys, spec):
+    code, out, _ = run_cli(capsys, "classify", spec)
+    assert code == 0 and last_json(out)["result"]["group_label"] == spec
+
+
+@pytest.mark.parametrize("spec, bound", [
+    ("Q12", "2-power in 8..2048"), ("Q4096", "2-power in 8..2048"),
+    ("S7", "m! <= 2048"), ("A2", "3 <= m"), ("A7", "m!/2 <= 2048"),
+])
+def test_family_specs_beyond_their_constructors_bounds_exit_1(capsys, spec, bound):
+    code, _, err = run_cli(capsys, "classify", spec)
+    assert code == 1 and bound in err
+
+
 def test_malformed_local_specs_exit_1(capsys, tmp_path):
     # input faults, so usage errors and not internal defects
     batch = tmp_path / "b.json"

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -604,7 +605,8 @@ def test_classify_is_relabeling_invariant():
     "perm, message",
     [([0, 1, 1, 3], "not a permutation"), ([0, 1, 2], "shape"), ([0, 1, 2, 3, 4], "shape"),
      ([0, 1, 2, 4], "not a permutation"), ([0, -1, 2, 3], "not a permutation"),
-     ([1, 0, 2, 3], "fix the identity")],
+     ([1, 0, 2, 3], "fix the identity"), ([0, 1.7, 2.2, 3], "must be integers, not float64"),
+     ([0.0, 1.0, 2.0, 3.0], "must be integers")],
 )
 def test_relabeling_must_be_a_permutation(perm, message):
     with pytest.raises(G.GroupError, match=message):
@@ -620,9 +622,30 @@ def test_parse_group_spec():
     assert G.parse_group_spec("SD:7,3,2").order == 21
     x = G.parse_group_spec("X:C2*C2*C2")
     assert x.order == 8 and int(x.orders.max()) == 2
-    for bad in ("", "C", "Zoo", "Q12", "S9", "SD:4,2", "X:C2"):
+    for bad in ("", "C", "Zoo", "Q12", "S9", "SD:4,2", "X:C2", "C\u00b2", "B4", "C-4", "C+4"):
         with pytest.raises(G.GroupError):
             G.parse_group_spec(bad)
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("C1", 1), ("C2048", 2048), ("D1", 2), ("D1024", 2048), ("Q8", 8), ("Q2048", 2048),
+    ("S1", 1), ("S5", 120), ("S6", 720), ("A3", 3), ("A6", 360), ("Q032", 32),
+])
+def test_family_specs_reach_their_constructors_bounds(spec, order):
+    g = G.parse_group_spec(spec)
+    assert g.order == order and g.label == spec[0] + str(int(spec[1:]))
+
+
+@pytest.mark.parametrize("spec, bound", [
+    ("C0", "1..2048"), ("C2049", "1..2048"), ("D0", "1..1024"), ("D1025", "1..1024"),
+    ("Q4", "8..2048"), ("Q12", "8..2048"), ("Q4096", "8..2048"),
+    ("S0", "m! <= 2048"), ("S7", "m! <= 2048"), ("A2", "m!/2 <= 2048"), ("A7", "m!/2 <= 2048"),
+    # bounded before m! is formed
+    ("S" + "9" * 4000, "m! <= 2048"), ("A" + "9" * 4000, "m!/2 <= 2048"),
+])
+def test_family_specs_beyond_their_constructors_bounds_are_refused(spec, bound):
+    with pytest.raises(G.GroupError, match=re.escape(bound)):
+        G.parse_group_spec(spec)
 
 
 def test_group_json_io(tmp_path):
@@ -1326,10 +1349,59 @@ def test_direct_product_table_matches_block_loop(a, b):
     assert np.array_equal(table, ref_direct_product(a, b))
 
 
+def ref_quaternion_table(N):
+    """The Q_N table by an int64 formula that shares nothing with the
+    dihedral rows :func:`G.generalized_quaternion` copies: with half = N/2,
+    x^i1 y^j1 times x^i2 y^j2 is x^(i1 + i2) y^j2 for j1 = 0, and
+    x^(i1 - i2 + (N/4 if j2 = 1 else 0)) y^((1 + j2) mod 2) for j1 = 1,
+    x^i y^j indexed as i + half*j."""
+    half = N // 2
+    idx = np.arange(N, dtype=np.int64)
+    i1, j1 = (idx % half)[:, None], (idx // half)[:, None]
+    i2, j2 = (idx % half)[None, :], (idx // half)[None, :]
+    i = np.where(j1 == 0, i1 + i2, i1 - i2 + np.where(j2 == 1, half // 2, 0)) % half
+    j = (j1 + j2) % 2
+    return i + half * j
+
+
+@pytest.mark.parametrize("N", [2**k for k in range(3, 12)])
+def test_quaternion_table_matches_formula(N):
+    table = G.generalized_quaternion(N).table
+    assert table.dtype == np.int16 and table.flags.c_contiguous
+    assert table.tobytes() == ref_quaternion_table(N).astype(np.int16).tobytes()
+
+
+@pytest.mark.parametrize("N", [-8, 0, 1, 2, 4, 12, 24, 2047, 4096])
+def test_quaternion_orders_off_the_2_powers_to_the_cap_are_refused(N):
+    with pytest.raises(G.GroupError, match=rf"2-power in 8\.\.2048, got {N}$"):
+        G.generalized_quaternion(N)
+
+
+def test_quaternion_and_relabeled_tables_are_built_in_int16_at_the_cap():
+    """Q2048 is a copy of the int16 dihedral table, and a relabeling gathers
+    in int16, so neither traced peak reaches three int16 tables of order
+    2048 (24 MiB); built in int64 they peaked at 104 and 40 MiB."""
+    rest = list(range(1, 2048))
+    random.Random(2048).shuffle(rest)
+    perm = np.array([0] + rest)
+    g = G.parse_group_spec("X:C2*C1024")
+    for build in (lambda: G.generalized_quaternion(2048), lambda: G.relabeled(g, perm)):
+        tracemalloc.start()
+        try:
+            got = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2048 * 2048 * 2, (got.label, peak)
+    # the relabeled table scattered in int64: perm[x] * perm[y] = perm[x * y]
+    want = np.empty((2048, 2048), dtype=np.int64)
+    want[np.ix_(perm, perm)] = perm[g.table]
+    assert got.table.tobytes() == want.astype(np.int16).tobytes()
+
+
 def tables_agree_on_corpus(n_max):
-    """Assert that every cyclic, SD, D, X, S and A table of the criterion-1
-    corpus up to order n_max equals its reference; returns how many tables
-    were checked (all but the three quaternion groups)."""
+    """Assert that every table of the criterion-1 corpus up to order n_max
+    equals its reference; returns how many tables were checked."""
     count = 0
     for g in _group_corpus(n_max):
         label = g.label
@@ -1345,15 +1417,17 @@ def tables_agree_on_corpus(n_max):
             want = ref_perm_group_table(itertools.permutations(range(int(label[1:]))))
         elif label[0] == "A":
             want = ref_alternating_table(int(label[1:]))
+        elif label[0] == "Q":
+            want = ref_quaternion_table(g.order)
         else:
-            continue
+            raise AssertionError(f"no reference table for {label}")
         assert g.table.dtype == np.int16 and np.array_equal(g.table, want), label
         count += 1
     return count
 
 
 def test_tables_agree_on_corpus_to_order_128():
-    assert tables_agree_on_corpus(128) == 1218
+    assert tables_agree_on_corpus(128) == 1221
 
 
 def ref_alternating_table(m):

@@ -153,6 +153,13 @@ def test_valuations():
         nt.p_split(Fraction(0), 5)
 
 
+@pytest.mark.parametrize("p", [1, -1, 0])
+def test_p_split_refuses_p_below_two(p):
+    # p = +-1 divides every numerator, so the strip ran forever; p = 0 divided by zero
+    with pytest.raises(ValueError, match="p >= 2"):
+        nt.p_split(Fraction(6, 5), p)
+
+
 def test_unit_residue():
     # 50/3 = 2 * 5^2 / 3; unit part mod 5 is 2 * 3^-1 = 4
     assert nt.p_split(Fraction(50, 3), 5) == (2, (2 * pow(3, -1, 5)) % 5)
