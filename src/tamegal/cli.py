@@ -8,7 +8,12 @@ one JSON line per specialization report before the summary.  A report's
 grunwald, strata and lemma32-set print CSV rows in place of the report,
 verify-beckmann prints a CSV row per sample before its summary, and the other
 commands print their report.  The seeded generator is CPython's random.Random
-(MT19937), which is stable across platforms.  Exit codes: 0 success / all
+(MT19937), which is stable across platforms.  Every integer, in an argument
+or inside a spec, is ASCII digits with an optional leading "-" and at most
+4300 digits, surrounding whitespace ignored: "+2", "1_0" and "٣" are refused.
+A key=value spec (a cover, or local data p=..,e=..,f=..[,D=..] with D last)
+names each of its keys once, in any order: an unknown, repeated or missing
+key exits 1.  Exit codes: 0 success / all
 checks agree, 1 usage error, 2 verification failure, 3 internal defect
 (traceback on stderr).
 """
@@ -29,11 +34,10 @@ from .local_tame import (
     cyclic_tame_exists,
     enumerate_tame_pairs,
     grunwald_feasible,
-    is_rational_square,
     load_local_spec_batch,
     parse_local_spec,
 )
-from .numtheory import SIEVE_CAP, parse_rational
+from .numtheory import SIEVE_CAP, is_rational_square, parse_int, parse_rational
 from .padic_oracle import kummer_local_invariants
 from .prime_strata import biquadratic_split, enumerate_stratum, lemma32_prime_set
 
@@ -69,6 +73,12 @@ def _emit(args, result):
     print(json.dumps(report, sort_keys=True))
 
 
+def integer(text: str) -> int:
+    """An integer argument, under numtheory.parse_int.  argparse names this
+    function and the value when it refuses one: "invalid integer value"."""
+    return parse_int(text, "integer")
+
+
 def _print_csv(rows):
     for row in rows:
         print(",".join(str(x) for x in row))
@@ -86,7 +96,7 @@ def _global_flags() -> argparse.ArgumentParser:
         "--csv", action="store_true", default=argparse.SUPPRESS, help="CSV output where supported"
     )
     common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="seed for sweeps (MT19937)"
+        "--seed", type=integer, default=argparse.SUPPRESS, help="seed for sweeps (MT19937)"
     )
     return common
 
@@ -194,13 +204,13 @@ def build_parser() -> _Parser:
     p.add_argument("group")
 
     p = add("local-cyclic", _local_cyclic, help="existence of a tame cyclic local extension")
-    p.add_argument("q", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("e", type=int)
+    p.add_argument("q", type=integer)
+    p.add_argument("d", type=integer)
+    p.add_argument("e", type=integer)
 
     p = add("tame-pairs", _tame_pairs, help="all tame generating pairs of G at q")
     p.add_argument("group")
-    p.add_argument("q", type=int)
+    p.add_argument("q", type=integer)
 
     p = add("grunwald", _grunwald, help="local feasibility of prescribed (p,e,f) data")
     p.add_argument("group")
@@ -210,19 +220,19 @@ def build_parser() -> _Parser:
     p = add("specialize", _specialize, help="predicted local invariants of a specialization")
     p.add_argument("cover")
     p.add_argument("--t0", required=True)
-    p.add_argument("--p", dest="p", type=int, required=True)
+    p.add_argument("--p", dest="p", type=integer, required=True)
 
     p = add("verify-beckmann", _verify_beckmann, help="seeded predictor-vs-oracle sweep")
     p.add_argument("cover")
-    p.add_argument("--primes", type=int, default=10000, help=f"prime bound, at most {SIEVE_CAP}")
-    p.add_argument("--samples", type=int, default=200, help=f"sample count, at most {SAMPLE_CAP}")
+    p.add_argument("--primes", type=integer, default=10000, help=f"prime bound, at most {SIEVE_CAP}")
+    p.add_argument("--samples", type=integer, default=200, help=f"sample count, at most {SAMPLE_CAP}")
     p.add_argument("--quiet", action="store_true", help="summary only, no per-sample lines")
 
     p = add("oracle", _oracle, help="splitting-field invariants of X^d - p^v*w")
-    p.add_argument("--p", dest="p", type=int, required=True)
-    p.add_argument("--d", dest="d", type=int, required=True)
-    p.add_argument("--v", dest="v", type=int, required=True)
-    p.add_argument("--w", dest="w", type=int, required=True)
+    p.add_argument("--p", dest="p", type=integer, required=True)
+    p.add_argument("--d", dest="d", type=integer, required=True)
+    p.add_argument("--v", dest="v", type=integer, required=True)
+    p.add_argument("--w", dest="w", type=integer, required=True)
 
     p = add(
         "strata",
@@ -230,9 +240,9 @@ def build_parser() -> _Parser:
         help="the stratum of primes p <= bound with gcd(d, p-1) = e; only the "
         "cyclotomic congruence condition is computed",
     )
-    p.add_argument("d", type=int)
-    p.add_argument("e", type=int)
-    p.add_argument("--bound", type=int, default=10000, help=f"prime bound, at most {SIEVE_CAP}")
+    p.add_argument("d", type=integer)
+    p.add_argument("e", type=integer)
+    p.add_argument("--bound", type=integer, default=10000, help=f"prime bound, at most {SIEVE_CAP}")
 
     p = add(
         "lemma32-set",
@@ -241,14 +251,14 @@ def build_parser() -> _Parser:
         "non-split in the other); conditions in cover-specific auxiliary "
         "fields are out of scope",
     )
-    p.add_argument("q", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--bound", type=int, default=1000, help=f"prime bound, at most {SIEVE_CAP}")
+    p.add_argument("q", type=integer)
+    p.add_argument("r", type=integer)
+    p.add_argument("--bound", type=integer, default=1000, help=f"prime bound, at most {SIEVE_CAP}")
 
     p = add("biquad-split", _biquad_split, help="quadratic subfields in which p splits")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("a", type=integer)
+    p.add_argument("b", type=integer)
+    p.add_argument("p", type=integer)
 
     p = add("sum-two-squares", _sum_two_squares, help="cyclic-quartic embeddability of sqrt(a)")
     p.add_argument("a")

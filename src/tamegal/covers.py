@@ -48,10 +48,10 @@ class KummerCover:
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(self.c))
-        if self.d < 2:
-            raise ValueError("degree d must be at least 2")
-        if self.m < 1:
-            raise ValueError("exponent m must be positive")
+        if isinstance(self.d, (bool, float)) or self.d < 2:
+            raise ValueError(f"degree d must be an integer at least 2, got {self.d!r}")
+        if isinstance(self.m, (bool, float)) or self.m < 1:
+            raise ValueError(f"exponent m must be a positive integer, got {self.m!r}")
         if self.c == 0:
             raise ValueError("constant c must be nonzero")
         if max(abs(self.c.numerator), self.c.denominator) >= _C_BOUND:
@@ -76,19 +76,12 @@ class KummerCover:
 
 
 def parse_cover_spec(text: str) -> KummerCover:
-    """Parse "d=<int>,m=<int>,c=<rational>"."""
-    fields = {}
-    for part in text.strip().split(","):
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise ValueError(f"bad cover spec fragment {part!r}")
-        fields[key.strip()] = val.strip()
-    try:
-        return KummerCover(
-            d=int(fields["d"]), m=int(fields["m"]), c=numtheory.parse_rational(fields["c"])
-        )
-    except KeyError as exc:
-        raise ValueError(f"cover spec {text!r} is missing {exc}") from exc
+    """Parse "d=<int>,m=<int>,c=<rational>": each key once, in any order, and
+    no other (numtheory.parse_fields), with d and m under numtheory.parse_int
+    and c under numtheory.parse_rational."""
+    fields = numtheory.parse_fields(text, ("d", "m", "c"))
+    d, m = (numtheory.parse_int(fields[key], f"{key} of cover spec {text!r}") for key in "dm")
+    return KummerCover(d, m, numtheory.parse_rational(fields["c"]))
 
 
 @dataclass(frozen=True)
@@ -246,8 +239,10 @@ def sample_points(cover: KummerCover, prime_bound: int, samples: int, seed: int)
     """Deterministic (t0, p) sample stream: p uniform over the primes <= bound
     that do not divide exceptional_primes_divide(), and t0 = +-num/den * p^j,
     one reduced Fraction with num, den prime to p and -3 <= j <= 3, so both
-    meeting and non-meeting specializations occur.  At most SAMPLE_CAP
+    meeting and non-meeting specializations occur.  From 0 to SAMPLE_CAP
     samples, and the prime bound is at most numtheory.SIEVE_CAP."""
+    if samples < 0:
+        raise ValueError(f"sample count {samples} is negative")
     if samples > SAMPLE_CAP:
         raise ValueError(f"{samples} samples is above the sample cap {SAMPLE_CAP}")
     primes = numtheory.primes_upto(prime_bound)

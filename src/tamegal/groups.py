@@ -704,6 +704,8 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     A family letter and a number go to that family's constructor
     (:data:`_FAMILIES`), whose own bound decides the range: C<1..2048>,
     D<1..1024> (order 2n), Q<2^k> for 8 <= 2^k <= 2048, S<1..6> and A<3..6>.
+    The family number and the SD: triple are integers under
+    numtheory.parse_int; every refusal is a GroupError.
     """
     spec = spec.strip()
     if not spec:
@@ -718,16 +720,16 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         for part in parts[1:]:
             g = direct_product(g, parse_group_spec(part))
         return g
+    family, numbers = _FAMILIES.get(spec[0]), [spec[1:]]
     if spec.startswith("SD:"):
-        try:
-            P, Q, k = (int(x) for x in spec[3:].split(","))
-        except ValueError as exc:
-            raise GroupError(f"bad semidirect spec {spec!r}") from exc
-        return semidirect_cyclic(P, Q, k)
-    family, tail = _FAMILIES.get(spec[0]), spec[1:]
-    if family is None or not tail.isdecimal():  # isdigit() passes "²", which int() refuses
+        family, numbers = semidirect_cyclic, spec[3:].split(",")
+    if family is None or len(numbers) != (3 if family is semidirect_cyclic else 1):
         raise GroupError(f"unrecognized group spec {spec!r}")
-    return family(int(tail))
+    try:
+        args = [numtheory.parse_int(x, "each number") for x in numbers]
+    except ValueError as exc:
+        raise GroupError(f"group spec {spec!r}: {exc}") from None
+    return family(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numtheory
 from .groups import FiniteGroup, parse_group_spec
-from .numtheory import is_rational_square  # re-exported for the CLI
+from .numtheory import is_rational_square
 from .padic_oracle import WildRamificationError
 
 
@@ -78,8 +78,9 @@ class TamePair:
 @dataclass(frozen=True)
 class LocalExtensionSpec:
     """Prescribed local behavior at p: ramification index e, residue degree f,
-    optionally a specific decomposition group.  Checked when built: p must be
-    prime, e and f positive, and a wild problem (p | e) raises."""
+    optionally a specific decomposition group.  Checked when built: p, e and
+    f must not be floats or bools, p must be prime, e and f positive, and a
+    wild problem (p | e) raises."""
 
     p: int
     e: int
@@ -87,10 +88,10 @@ class LocalExtensionSpec:
     group_spec: FiniteGroup | None = None
 
     def __post_init__(self):
-        if not numtheory.is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.e < 1 or self.f < 1:
-            raise ValueError("e and f must be positive")
+        if isinstance(self.p, (bool, float)) or not numtheory.is_prime(self.p):
+            raise ValueError(f"{self.p!r} is not prime")
+        if any(isinstance(x, (bool, float)) or x < 1 for x in (self.e, self.f)):
+            raise ValueError(f"e and f must be positive integers, got e={self.e!r}, f={self.f!r}")
         if self.e % self.p == 0:
             raise WildRamificationError(
                 f"wild problem rejected: p={self.p} divides e={self.e}"
@@ -106,52 +107,33 @@ class LocalExtensionSpec:
 
 
 def _local_spec(fields, source) -> LocalExtensionSpec:
-    """p, e and f must be JSON integers or digit strings, and D, if given and
-    not null, a group spec string."""
-    try:
-        p, e, f = (fields[key] for key in "pef")
-        group = fields.get("D")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad local spec {source!r}: {exc!r}") from exc
-    for x in (p, e, f):
-        if not (type(x) is int or isinstance(x, str) and x.isascii() and x.isdigit()):
-            raise ValueError(f"bad local spec {source!r}: {x!r} is not an integer")
-    if group is not None and not isinstance(group, str):
-        raise ValueError(f"bad local spec {source!r}: D must be a group spec string")
-    return LocalExtensionSpec(
-        p=int(p),
-        e=int(e),
-        f=int(f),
-        group_spec=None if group is None else parse_group_spec(group),
-    )
+    """The spec of a dict with the keys p, e and f, integers under
+    numtheory.parse_int, and optionally D, a group spec string or None (no
+    D); any other key is refused."""
+    if not isinstance(fields, dict) or not set("pef") <= fields.keys() <= set("pefD"):
+        raise ValueError(f"bad local spec {source!r}: the keys are p, e, f and optionally D")
+    if not isinstance(group := fields.get("D"), str | None):
+        raise ValueError(f"bad local spec {source!r}: D must be a group spec string or null")
+    p, e, f = (numtheory.parse_int(fields[key], f"{key} of local spec {source!r}") for key in "pef")
+    return LocalExtensionSpec(p, e, f, None if group is None else parse_group_spec(group))
 
 
 def parse_local_spec(text: str) -> LocalExtensionSpec:
-    """Parse "p,e,f" or "p=<prime>,e=<int>,f=<int>[,D=<group-spec>]" (D, if
-    present, last)."""
-    text = text.strip()
-    if "=" not in text:
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"local spec {text!r} is neither p,e,f nor p=..,e=..,f=..")
-        return _local_spec(dict(zip("pef", (x.strip() for x in parts))), text)
-    fields: dict[str, str] = {}
-    rest = text
-    while rest:
-        key, eq, val = rest.partition("=")
-        if eq and key.strip() == "D":  # D comes last, and its value may hold commas
-            fields["D"] = val
-            break
-        part, _, rest = rest.partition(",")
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise ValueError(f"bad local spec fragment {part!r}")
-        fields[key.strip()] = val.strip()
-    return _local_spec(fields, text)
+    """Parse "p,e,f" or "p=<prime>,e=<int>,f=<int>[,D=<group-spec>]": in the
+    keyed form p, e and f once each, in any order, D optional and last, and
+    no other key (numtheory.parse_fields); the integers under
+    numtheory.parse_int."""
+    if "=" in text:
+        return _local_spec(numtheory.parse_fields(text, ("p", "e", "f"), last="D"), text)
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"local spec {text!r} is neither p,e,f nor p=..,e=..,f=..")
+    return _local_spec(dict(zip("pef", parts)), text)
 
 
 def load_local_spec_batch(path: str) -> list[LocalExtensionSpec]:
-    """A JSON array of spec strings or {"p":..,"e":..,"f":..[,"D":..]} objects."""
+    """A JSON array of spec strings or {"p":..,"e":..,"f":..[,"D":..]} objects
+    with no other key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

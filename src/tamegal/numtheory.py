@@ -8,6 +8,9 @@ exactly; a larger n is refused unless one of the bases divides it.  Factoring
 uses Pollard rho with Floyd's cycle finding.  Everything here is exact integer
 arithmetic.
 
+parse_int and parse_fields hold the rules for what a user types: one rule
+for integers, and one reader for key=value specs, used by every parser.
+
 The prime sieve is cached per limit and shared by every caller, so the
 arrays ``primes_upto`` returns are read-only.
 """
@@ -30,6 +33,8 @@ _SIEVE_CACHE_SIZE = 4
 # digit limit CPython puts on int strings
 DECIMAL_EXPONENT_CAP = 4300
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d[\d_]*)\s*\Z", re.IGNORECASE)
+# the integers parse_int reads; \d would match every Unicode digit
+_INT = re.compile(rf"-?[0-9]{{1,{DECIMAL_EXPONENT_CAP}}}")
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BASES_PRODUCT = math.prod(_MR_BASES)
@@ -196,6 +201,46 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def parse_int(x, what: str) -> int:
+    """x as an integer, under the one rule for every integer a user types: an
+    int (of type int itself, so not a bool), or a string of ASCII digits with
+    an optional leading "-", surrounding whitespace ignored as int() ignores
+    it, and at most DECIMAL_EXPONENT_CAP digits.  Anything else ("+2", "1_0",
+    "٣", 7.0, True) raises ValueError naming what."""
+    if type(x) is int or isinstance(x, str) and _INT.fullmatch(x.strip()):
+        return int(x)
+    raise ValueError(
+        f"{what} must be an int or at most {DECIMAL_EXPONENT_CAP} ASCII digits after an "
+        f"optional '-', got {x!r}"
+    )
+
+
+def parse_fields(text: str, keys: tuple[str, ...], last: str | None = None) -> dict[str, str]:
+    """The comma-separated key=value fields of text, keys and values stripped
+    of surrounding whitespace: each of keys exactly once, in any order, and
+    no other key.  The optional field last must come last, and its value runs
+    to the end of text, commas included, so "D=SD:13,3,9" reads whole.  A
+    field with no "=" (a trailing comma leaves an empty one) or an unknown,
+    repeated or missing key raises ValueError."""
+    fields: dict[str, str] = {}
+    known = (*keys, last) if last else keys
+    parts = text.split(",")
+    for i, part in enumerate(parts):
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"field {part!r} of {text!r} is not key=value")
+        if key in fields or key not in known:
+            kind = "repeated" if key in fields else "unknown"
+            raise ValueError(f"{kind} key {key!r} in {text!r}: the keys are {', '.join(known)}")
+        fields[key] = (",".join([value, *parts[i + 1 :]]) if key == last else value).strip()
+        if key == last:
+            break
+    if not fields.keys() >= set(keys):
+        raise ValueError(f"{text!r} is missing a key: the keys are {', '.join(known)}")
+    return fields
 
 
 def p_split(x: int | Fraction, p: int) -> tuple[int, int]:

@@ -184,7 +184,8 @@ def test_malformed_local_specs_exit_1(capsys, tmp_path):
                     [{"p": 7.9, "e": 3, "f": 1}], [{"p": 7, "e": True, "f": 1}],
                     [{"p": 7, "e": 3, "f": 1, "D": 5}], [{"p": 7, "e": 3, "f": 1, "D": ["S3"]}],
                     [{"p": "7.0", "e": 3, "f": 1}], [{"p": 7, "e": "+3", "f": 1}],
-                    [{"p": 7, "e": 3, "f": [1]}], [{"p": 7, "e": 3, "f": 1.0}]):
+                    [{"p": 7, "e": 3, "f": [1]}], [{"p": 7, "e": 3, "f": 1.0}],
+                    [{"p": 7, "e": 3, "f": 1, "x": 1}], [{"p": 7, "e": 3, "f": 1, "d": "S3"}]):
         batch.write_text(json.dumps(content))
         code, out, err = run_cli(capsys, "grunwald", "S3", "--batch", str(batch))
         assert code == 1 and out == "" and "usage error" in err, content
@@ -205,6 +206,31 @@ def test_zero_denominators_and_deep_nesting_exit_1(capsys, tmp_path, monkeypatch
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert "usage error" in err and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["grunwald", "S3", "--at", "p=7,e=3,f=1,d=S3"], "unknown key 'd'"),
+    (["grunwald", "S3", "--at", "p=7,p=5,e=3,f=1"], "repeated key 'p'"),
+    (["grunwald", "S3", "--at", "p=7,e=3"], "missing a key"),
+    (["grunwald", "S3", "--at", "p=7,e=3,f=1,"], "field ''"),
+    (["specialize", "d=9,m=1,c=1,x=2", "--t0", "7", "--p", "7"], "unknown key 'x'"),
+    (["specialize", "d=9,d=3,m=1,c=1", "--t0", "7", "--p", "7"], "repeated key 'd'"),
+    (["specialize", "d=9,m=1,c=1,", "--t0", "7", "--p", "7"], "field ''"),
+    (["specialize", "d=+9,m=1,c=1", "--t0", "7", "--p", "7"], "'+9'"),
+    (["verify-beckmann", "d=3,m=1_0,c=1", "--samples", "1"], "'1_0'"),
+    (["classify", "C\u0663"], "'\u0663'"),
+    (["classify", "SD:7,3,+2"], "'+2'"),
+    (["classify", "SD:3_1,3,5"], "'3_1'"),
+    (["tame-pairs", "Q8", "1_1"], "argument q: invalid integer value: '1_1'"),
+    (["tame-pairs", "Q8", "+3"], "argument q: invalid integer value: '+3'"),
+    (["strata", "\u0669", "3"], "argument d: invalid integer value"),
+    (["verify-beckmann", "d=3,m=1,c=1", "--samples", "-1"], "sample count -1 is negative"),
+    (["--seed", "1_0", "verify-beckmann", "d=3,m=1,c=1"], "argument --seed: invalid integer value"),
+], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_mistyped_fields_and_integers_exit_1_naming_them(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error") and named in err and "Traceback" not in err
 
 
 def test_local_spec_field_types(capsys, tmp_path):

@@ -27,6 +27,10 @@ def test_cover_construction_and_parsing():
         cv.KummerCover(1, 1, Fraction(1))
     with pytest.raises(ValueError):
         cv.KummerCover(3, 1, Fraction(0))
+    # a float or a bool is refused by name when built, not deep in verify_beckmann
+    for d, m in ((2.5, 1), (3.0, 1), (True, 1), (3, 1.0), (3, True)):
+        with pytest.raises(ValueError, match="must be an integer at least 2|a positive integer"):
+            cv.KummerCover(d, m, 1)
     # c must print as a Python int string of at most 4300 digits, on both sides
     widest = 10**4300 - 1
     assert cv.KummerCover(3, 1, Fraction(-widest, widest - 1)).spec_string()
@@ -307,6 +311,15 @@ def test_sample_points_matches_per_prime_filter(spec, bound):
         assert got == want
         assert all(type(p) is int for _, p in got)
         assert [str(t0) for t0, _ in got] == [str(t0) for t0, _ in want]
+
+
+def test_sample_count_must_not_be_negative():
+    cover = cv.parse_cover_spec("d=3,m=1,c=1")
+    for samples in (-1, -(10**18)):
+        with pytest.raises(ValueError, match=f"sample count {samples} is negative"):
+            cv.sample_points(cover, 100, samples, 0)
+    assert cv.sample_points(cover, 100, 0, 0) == []
+    assert cv.sweep(cover, 100, 0, 0)[1]["samples"] == 0
 
 
 @pytest.mark.parametrize("spec,bound", [("d=6,m=1,c=5/7", 10), ("d=2,m=3,c=-5/3", 6), ("d=3,m=1,c=1", 1)])

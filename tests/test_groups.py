@@ -622,9 +622,14 @@ def test_parse_group_spec():
     assert G.parse_group_spec("SD:7,3,2").order == 21
     x = G.parse_group_spec("X:C2*C2*C2")
     assert x.order == 8 and int(x.orders.max()) == 2
-    for bad in ("", "C", "Zoo", "Q12", "S9", "SD:4,2", "X:C2", "C\u00b2", "B4", "C-4", "C+4"):
+    for bad in ("", "C", "Zoo", "Q12", "S9", "SD:4,2", "X:C2", "C\u00b2", "B4", "C-4", "C+4",
+                "C\u0663", "Q\uff18", "SD:7,3,+2", "SD:3_1,3,5", "SD:7,3,2.0", "SD:7,3,2,1", "C1_2",
+                "C" + "9" * 5000, "SD:7,3," + "9" * 4301):
         with pytest.raises(G.GroupError):
             G.parse_group_spec(bad)
+    # the numbers follow numtheory.parse_int, which ignores surrounding whitespace
+    assert G.parse_group_spec("C 12").label == "C12"
+    assert G.parse_group_spec("SD: 7, 3 ,2").label == "SD:7,3,2"
 
 
 @pytest.mark.parametrize("spec, order", [
@@ -1007,6 +1012,42 @@ def classify_agrees_on_corpus(n_max):
 
 def test_classify_agrees_on_corpus_to_order_128():
     assert classify_agrees_on_corpus(128) == 1221
+
+
+def _subgroup(g, gens):
+    """The subgroup of g that gens generate, re-indexed as a group of its
+    own: subgroup_closure's sorted elements start at the identity 0."""
+    elems = g.subgroup_closure(gens)
+    index = np.empty(g.order, dtype=np.intp)
+    index[elems] = np.arange(elems.size)
+    return G.FiniteGroup(index[g.table[np.ix_(elems, elems)]], label=f"<{gens}> in {g.label}")
+
+
+def test_classification_laws_hold_on_subgroups_and_products():
+    """Laws that any correct classify obeys, with no second procedure.  A
+    subgroup H != 1 of an hg_real group is hg_real, and likewise for
+    hg_sqrt_minus1: subgroups of a Frobenius group lie in the kernel, in a
+    complement or are Frobenius again (Huppert, Endliche Gruppen I, V.8), and
+    subgroups of cyclic and generalized quaternion 2-groups are cyclic or
+    generalized quaternion.  And G x H has an obstruction when G, H != 1:
+    elements of prime orders p != q give one of order pq, and of the same
+    prime order q a C_q x C_q.  With generalized quaternion read as "a
+    non-cyclic 2-group with an element of order 4", D4 would be
+    hg_sqrt_minus1, and this sample fails at its subgroup C2 x C2."""
+    rng = random.Random(0)
+    subgroups = 0
+    for g in _group_corpus(64):
+        r = G.classify(g)
+        if "x" in g.label:  # the corpus's direct products are labelled AxB
+            assert G.detect_obstructions(g), g.label
+        for _ in range(rng.randint(1, 2)):
+            gens = rng.sample(range(1, g.order), min(g.order - 1, rng.randint(1, 2)))
+            h = _subgroup(g, gens)
+            rh = G.classify(h)
+            assert rh.hg_real or not r.hg_real, h.label
+            assert rh.hg_sqrt_minus1 or not r.hg_sqrt_minus1, h.label
+            subgroups += 1
+    assert subgroups > 600
 
 
 @pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)

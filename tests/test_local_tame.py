@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamegal import groups as G
 from tamegal import local_tame as lt
@@ -258,6 +260,10 @@ def test_grunwald_wild_rejected():
     for p, e, f in ((4, 3, 1), (1, 1, 1), (5, 0, 1), (5, 1, 0)):
         with pytest.raises(ValueError, match="not prime|must be positive"):
             lt.LocalExtensionSpec(p, e, f)
+    # a float or a bool is refused by name when built, not deep in grunwald_feasible
+    for p, e, f in ((7.9, 3, 1), (7.0, 3, 1), (True, 1, 1), (7, 3.0, 1), (7, True, 1), (7, 3, 1.5)):
+        with pytest.raises(ValueError, match=r"^\S+ is not prime|must be positive integers, got"):
+            lt.LocalExtensionSpec(p, e, f)
 
 
 def test_local_spec_is_frozen():
@@ -325,6 +331,53 @@ def test_local_spec_positional_form(tmp_path):
     batch = lt.load_local_spec_batch(str(path))
     assert [(s.p, s.e, s.f) for s in batch] == [(11, 1, 2), (5, 3, 2)]
     assert batch[1].group_spec.order == 6
+
+
+_SPECS = [(7, 3, 1, None), (5, 3, 2, "S3"), (3, 13, 3, "SD:13,3,9"), (11, 1, 2, "C2"), (13, 4, 1, None)]
+_SPACE = st.text(alphabet=" \t", max_size=2)
+
+
+@st.composite
+def keyed_local_specs(draw):
+    """(spec, fields): a keyed local spec string, p, e and f in a drawn order
+    with D last, whitespace drawn around every key and value, and its
+    (key, value) fields in that order."""
+    p, e, f, group = draw(st.sampled_from(_SPECS))
+    fields = draw(st.permutations([("p", p), ("e", e), ("f", f)]))
+    if group is not None:
+        fields.append(("D", group))
+    def pad():
+        return draw(_SPACE)
+
+    text = ",".join(f"{pad()}{k}{pad()}={pad()}{v}{pad()}" for k, v in fields)
+    return (p, e, f, group), fields, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=keyed_local_specs())
+def test_keyed_local_specs_read_alike_in_any_order_and_spacing(drawn):
+    (p, e, f, group), _, text = drawn
+    want = {"p": p, "e": e, "f": f, "D": group and G.parse_group_spec(group).label}
+    assert lt.parse_local_spec(text).as_dict() == want, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=keyed_local_specs(), fault=st.sampled_from(["extra", "repeat", "drop", "comma"]),
+       extra=st.sampled_from(["d", "P", "x", "q", "E", "", "pe"]), data=st.data())
+def test_keyed_local_specs_with_a_wrong_key_or_a_trailing_comma_are_refused(drawn, fault, extra, data):
+    _, fields, _ = drawn
+    base = [f"{k}={v}" for k, v in fields if k != "D"]
+    tail = [f"D={v}" for k, v in fields if k == "D"]
+    i = data.draw(st.integers(0, len(base)))
+    if fault == "extra":
+        base.insert(i, f"{extra}=1")
+    elif fault == "repeat":
+        base.insert(i, data.draw(st.sampled_from(base)))
+    elif fault == "drop":
+        del base[data.draw(st.integers(0, len(base) - 1))]
+    text = ",".join(base + tail) + ("," if fault == "comma" else "")
+    with pytest.raises(ValueError):
+        lt.parse_local_spec(text)
 
 
 # C2048 has 2048 pairs at q = 3 and 4096 at q = 5

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -66,6 +67,53 @@ def test_parse_rational_refuses_decimal_exponents_beyond_the_int_limit(text):
     with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
         nt.parse_rational(text)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("x, want", [
+    (7, 7), (-3, -3), (0, 0), (2**100, 2**100), ("7", 7), (" 12\n", 12), ("-0", 0), ("007", 7),
+    ("9" * 4300, int("9" * 4300)), ("-" + "9" * 4300, -int("9" * 4300)),
+])
+def test_parse_int_accepts_ints_and_ascii_digit_strings(x, want):
+    got = nt.parse_int(x, "n")
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("x", [
+    True, False, 7.0, 7.9, None, [7], Fraction(7), np.int64(7), "", " ", "-", "+2", "1_0", "٣",
+    "C12", "7.0", "1e3", "0x10", "--5", "5-", "1 2", "9" * 4301, "-" + "9" * 4301, "9" * 100000,
+])
+def test_parse_int_refuses_everything_else_by_name(x):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^the count must be an int or at most 4300 ASCII digits"):
+        nt.parse_int(x, "the count")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_fields_reads_each_key_once_and_last_to_the_end():
+    assert nt.parse_fields(" m = 1 ,d=9,c= -5/7", ("d", "m", "c")) == {"d": "9", "m": "1", "c": "-5/7"}
+    assert nt.parse_fields("p=3, e=13, f=3, D = SD:13,3,9 ", ("p", "e", "f"), last="D") == {
+        "p": "3", "e": "13", "f": "3", "D": "SD:13,3,9"
+    }
+    assert nt.parse_fields("a=1", ("a",), last="D") == {"a": "1"}
+    # the value of the last field runs to the end, so a key after it is part of it
+    assert nt.parse_fields("a=1,D=x,a=2", ("a",), last="D") == {"a": "1", "D": "x,a=2"}
+    assert nt.parse_fields("a=,b==", ("a", "b")) == {"a": "", "b": "="}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("d=9,m=1,c=1,x=2", "unknown key 'x'"),
+    ("d=9,m=1,D=1,c=1", "unknown key 'D'"),
+    ("D=9,m=1,c=1", "unknown key 'D'"),
+    ("d=9,d=3,m=1,c=1", "repeated key 'd'"),
+    ("d=9,m=1", "missing a key: the keys are d, m, c"),
+    ("", "field '' of '' is not key=value"),
+    ("d=9,m=1,c=1,", "field '' of 'd=9,m=1,c=1,' is not key=value"),
+    ("d=9,m,c=1", "field 'm' of 'd=9,m,c=1' is not key=value"),
+    ("d=9;m=1;c=1", "missing a key"),
+])
+def test_parse_fields_refuses_unknown_repeated_and_missing_keys(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        nt.parse_fields(text, ("d", "m", "c"))
 
 
 @pytest.mark.parametrize(
