@@ -11,6 +11,8 @@ commands print their report.  The seeded generator is CPython's random.Random
 (MT19937), which is stable across platforms.  Every integer, in an argument
 or inside a spec, is ASCII digits with an optional leading "-" and at most
 4300 digits, surrounding whitespace ignored: "+2", "1_0" and "٣" are refused.
+Every rational (c, --t0, sum-two-squares) is a, a/b or a decimal in the same
+digits; "+2", "1e+3" and "3/-4" are refused there too.
 A key=value spec (a cover, or local data p=..,e=..,f=..[,D=..] with D last)
 names each of its keys once, in any order: an unknown, repeated or missing
 key exits 1.  Exit codes: 0 success / all

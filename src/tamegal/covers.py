@@ -7,7 +7,15 @@ between the specialization point t0 and a branch point (an intersection
 multiplicity) the local invariants (e, f) of the specialized extension at p
 are predicted, and the finite-field oracle recomputes them from X^d - c*t0^m
 directly.  The predictor shares with the oracle only the numtheory primitives
-is_prime, p_split, factorize and multiplicative_order_mod.
+is_prime, p_split, factorize and multiplicative_order_mod.  Both sides ask
+multiplicative_order_mod for ord_d(p) with the same arguments, and its memo
+answers the second call from the first.  That couples them no further than
+the shared primitive already did: a memo hit returns what the call would
+compute, so each side still reads the same function at the same arguments.
+
+A specialization point t0 is an int or a Fraction; its numerator and
+denominator are read directly and no Fraction is built per call.  Anything
+else (a bool, a float, a str) is refused with a ValueError naming t0.
 
 Primes dividing 2, d, or the numerator or denominator of c are declared
 exceptional up front; the prediction laws hold away from finitely many primes
@@ -20,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +53,8 @@ class KummerCover:
     d: int
     m: int
     c: Fraction
+    # exceptional_primes_divide(), computed once
+    _exceptional: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(self.c))
@@ -59,6 +69,7 @@ class KummerCover:
                 f"constant c has more than {numtheory.DECIMAL_EXPONENT_CAP} digits in its "
                 "numerator or denominator, the digit limit of a Python int string"
             )
+        object.__setattr__(self, "_exceptional", 2 * self.d * self.c.numerator * self.c.denominator)
 
     @property
     def branch_inertia_order(self) -> int:
@@ -69,10 +80,10 @@ class KummerCover:
 
     def exceptional_primes_divide(self) -> int:
         """Every exceptional prime divides this integer."""
-        return 2 * self.d * self.c.numerator * self.c.denominator
+        return self._exceptional
 
     def is_exceptional(self, p: int) -> bool:
-        return self.exceptional_primes_divide() % p == 0
+        return self._exceptional % p == 0
 
 
 def parse_cover_spec(text: str) -> KummerCover:
@@ -134,8 +145,11 @@ def predict_specialization(cover: KummerCover, t0, p: int) -> Prediction:
     v_p(t0) = 0 (k = 0).  predicted_f is emitted only when gcd(k, e_i) = 1,
     where the residue degree transfers from the branch-point constants;
     otherwise only containment is known and the field is withheld.
+
+    t0 is an int or a Fraction; anything else is refused by name.
     """
-    t0 = Fraction(t0)
+    if type(t0) is not int and not isinstance(t0, Fraction):
+        raise ValueError(f"t0 must be an int or a Fraction, got {t0!r}")
     p = int(p)
     if not numtheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -166,7 +180,7 @@ class SpecializationReport:
     """Predicted vs oracle local invariants for one (t0, p)."""
 
     cover: KummerCover
-    t0: Fraction
+    t0: int | Fraction
     p: int
     intersection: tuple[str | None, int]
     predicted_e: int
@@ -202,8 +216,8 @@ class SpecializationReport:
 def verify_beckmann(cover: KummerCover, t0, p: int) -> SpecializationReport:
     """Fill a report: prediction on one side, the finite-field oracle applied
     to u = c*t0^m on the other.  The oracle's v = v_p(u) and w, the residue of
-    u / p^v, come from p_split(c, p) and p_split(t0, p); t0^m is never formed."""
-    t0 = Fraction(t0)
+    u / p^v, come from p_split(c, p) and p_split(t0, p); t0^m is never formed.
+    t0 is an int or a Fraction, refused by name otherwise."""
     pred = predict_specialization(cover, t0, p)
     (vc, wc), (vt, wt) = numtheory.p_split(cover.c, p), numtheory.p_split(t0, p)
     inv = kummer_local_invariants(p, cover.d, vc + cover.m * vt, wc * pow(wt, cover.m, p) % p)

@@ -8,11 +8,19 @@ exactly; a larger n is refused unless one of the bases divides it.  Factoring
 uses Pollard rho with Floyd's cycle finding.  Everything here is exact integer
 arithmetic.
 
-parse_int and parse_fields hold the rules for what a user types: one rule
-for integers, and one reader for key=value specs, used by every parser.
+parse_int, parse_rational and parse_fields hold the rules for what a user
+types: one rule for integers and for rationals, ASCII digits after an
+optional "-", and one reader for key=value specs, used by every parser.
 
-The prime sieve is cached per limit and shared by every caller, so the
-arrays ``primes_upto`` returns are read-only.
+Four caches, each a bounded functools.lru_cache and each keyed on exact
+integers, so a hit returns what a recomputation would:
+- the prime sieve, per limit (_SIEVE_CACHE_SIZE limits), shared by every
+  caller, so the arrays ``primes_upto`` returns are read-only;
+- factorize, per n, behind factorize and prime_divisor_count;
+- prime_divisor_count, per n;
+- multiplicative_order_mod, per (a mod n, n) (_ORDER_CACHE_SIZE pairs).
+A refusal (a limit above the cap, a non-unit a) raises before or inside the
+cached call and is never cached.
 """
 
 from __future__ import annotations
@@ -29,12 +37,21 @@ import numpy as np
 SIEVE_CAP = 10**7
 # primes_upto keeps the sieves of this many limits
 _SIEVE_CACHE_SIZE = 4
+# multiplicative_order_mod keeps the orders of this many (a mod n, n)
+_ORDER_CACHE_SIZE = 1 << 10
 # parse_rational refuses a decimal exponent above this in absolute value, the
 # digit limit CPython puts on int strings
 DECIMAL_EXPONENT_CAP = 4300
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d[\d_]*)\s*\Z", re.IGNORECASE)
 # the integers parse_int reads; \d would match every Unicode digit
-_INT = re.compile(rf"-?[0-9]{{1,{DECIMAL_EXPONENT_CAP}}}")
+_DIGITS = rf"[0-9]{{1,{DECIMAL_EXPONENT_CAP}}}"
+_INT = re.compile(rf"-?{_DIGITS}")
+# the rationals parse_rational reads: a, a/b, or a decimal with an optional
+# exponent, each digit run ASCII and within int()'s digit limit
+_RATIONAL = re.compile(
+    rf"-?(?:{_DIGITS}/{_DIGITS}|(?:{_DIGITS}(?:\.[0-9]{{0,{DECIMAL_EXPONENT_CAP}}})?|\.{_DIGITS})"
+    rf"(?:[eE]-?{_DIGITS})?)"
+)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BASES_PRODUCT = math.prod(_MR_BASES)
@@ -185,9 +202,12 @@ def is_prime_power(n: int) -> bool:
 
 
 def parse_rational(text: str) -> Fraction:
-    """The rational written as text ("a", "a/b" or a decimal), as Fraction
-    reads it; a zero denominator is refused with ValueError, not
-    ZeroDivisionError, and so is a decimal exponent beyond
+    """The rational written as text, under the rule parse_int holds for
+    integers: "a", "a/b" or a decimal ("2.5", ".5", "1e3", "2.5E-3"), in
+    ASCII digits after an optional leading "-", each digit run at most
+    DECIMAL_EXPONENT_CAP long, surrounding whitespace ignored.  Anything else
+    ("+2", "1_0", "٣", "1e+3", "3/-4") raises ValueError naming the text, and
+    so do a zero denominator and a decimal exponent beyond
     DECIMAL_EXPONENT_CAP, before Fraction expands 10^exponent."""
     exp = _DECIMAL_EXPONENT.search(text)
     digits = exp[1].replace("_", "").lstrip("0") if exp else ""
@@ -196,6 +216,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(
             f"rational {text!r} has a decimal exponent beyond {DECIMAL_EXPONENT_CAP}, "
             "the digit limit of a Python int"
+        )
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError(
+            f"rational {text!r} must be a, a/b or a decimal in ASCII digits after an optional "
+            f"'-', at most {DECIMAL_EXPONENT_CAP} digits in each part"
         )
     try:
         return Fraction(text)
@@ -278,9 +303,15 @@ def _order_from_multiple(a: int, n: int, m: int) -> int:
 
 
 def multiplicative_order_mod(a: int, n: int) -> int:
-    """Order of a in (Z/n)^*, divided down from phi(n)."""
+    """Order of a in (Z/n)^*, divided down from phi(n).  Memoized on
+    (a mod n, n) for the last _ORDER_CACHE_SIZE pairs; a non-unit a raises
+    ValueError on every call."""
     n = int(n)
-    a = int(a) % n
+    return _order_mod(int(a) % n, n)
+
+
+@functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
+def _order_mod(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
     phi = math.prod(q ** (k - 1) * (q - 1) for q, k in factorize(n).items())

@@ -217,6 +217,10 @@ def test_zero_denominators_and_deep_nesting_exit_1(capsys, tmp_path, monkeypatch
     (["specialize", "d=9,d=3,m=1,c=1", "--t0", "7", "--p", "7"], "repeated key 'd'"),
     (["specialize", "d=9,m=1,c=1,", "--t0", "7", "--p", "7"], "field ''"),
     (["specialize", "d=+9,m=1,c=1", "--t0", "7", "--p", "7"], "'+9'"),
+    (["specialize", "d=9,m=1,c=\u0663", "--t0", "7", "--p", "7"], "'\u0663'"),
+    (["specialize", "d=9,m=1,c=1", "--t0", "+7", "--p", "7"], "'+7'"),
+    (["specialize", "d=9,m=1,c=1", "--t0", "7_0", "--p", "7"], "'7_0'"),
+    (["sum-two-squares", "1_3"], "'1_3'"),
     (["verify-beckmann", "d=3,m=1_0,c=1", "--samples", "1"], "'1_0'"),
     (["classify", "C\u0663"], "'\u0663'"),
     (["classify", "SD:7,3,+2"], "'+2'"),

@@ -1,9 +1,12 @@
+import dataclasses
 import functools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from test_padic_oracle import _count_roots_in_field
@@ -350,6 +353,67 @@ def test_oracle_from_the_splits_of_c_and_t0_matches_the_fraction(spec, bound):
     for t0, p in points:
         r = cv.verify_beckmann(cover, t0, p)
         assert (r.oracle_e, r.oracle_f) == ref_oracle(cover, t0, p), (t0, p)
+
+
+@pytest.mark.parametrize("spec,bound", _SAMPLED_COVERS)
+def test_int_and_fraction_t0_give_identical_reports(spec, bound):
+    """t0 is read through its numerator and denominator alone, so an int
+    and the equal Fraction give the same prediction and the same report,
+    byte for byte, and ref_oracle, which builds u = c*t0^m as a Fraction,
+    agrees with the oracle on every drawn point."""
+    cover = cv.parse_cover_spec(spec)
+    for t0, p in cv.sample_points(cover, bound, 200, 11):
+        n = t0.numerator  # an int, with v_p(n) = max(v_p(t0), 0)
+        r = cv.verify_beckmann(cover, n, p)
+        assert r.to_json_line() == cv.verify_beckmann(cover, Fraction(n), p).to_json_line()
+        assert cv.predict_specialization(cover, n, p) == cv.predict_specialization(cover, Fraction(n), p)
+        for x, rep in ((n, r), (t0, cv.verify_beckmann(cover, t0, p))):
+            assert (rep.oracle_e, rep.oracle_f) == ref_oracle(cover, x, p), (x, p)
+
+
+def test_the_sweep_op_builds_no_fraction(monkeypatch):
+    """verify_beckmann reads t0 and c through their numerators and
+    denominators: with Fraction construction made to raise, a sweep over
+    sampled Fraction points, and int points, still reports."""
+    cover = cv.KummerCover(12, 4, Fraction(5, 7))
+    points = cv.sample_points(cover, 10**4, 300, 5)
+    points += [(t0.numerator, p) for t0, p in points]
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    lines = [cv.verify_beckmann(cover, t0, p).to_json_line() for t0, p in points]
+    monkeypatch.undo()
+    assert len(lines) == 600 and all('"agree": true' in line for line in lines)
+
+
+@pytest.mark.parametrize("t0", ["7", 7.0, True, False, None, np.int64(7), "0", 0.0])
+def test_t0_other_than_int_or_fraction_is_refused_by_name(t0):
+    cover = cv.KummerCover(9, 1, Fraction(1))
+    for entry in (cv.predict_specialization, cv.verify_beckmann):
+        with pytest.raises(ValueError, match=re.escape(f"t0 must be an int or a Fraction, got {t0!r}")):
+            entry(cover, t0, 7)
+
+
+def test_t0_zero_is_refused_before_any_split(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("p_split ran on t0 = 0")
+
+    monkeypatch.setattr(nt, "p_split", no_split)
+    for cover in (cv.KummerCover(9, 1, Fraction(1)), cv.KummerCover(3, 3, Fraction(2, 5))):
+        for t0 in (0, Fraction(0), Fraction(0, 7)):
+            for entry in (cv.predict_specialization, cv.verify_beckmann):
+                with pytest.raises(ValueError, match=r"^t0 = 0 is not specializable \(branch point"):
+                    entry(cover, t0, 7)
+
+
+def test_cover_constants_are_computed_once_and_kept_out_of_eq_hash_and_repr():
+    a, b = cv.KummerCover(6, 1, Fraction(5, 21)), cv.parse_cover_spec("d=6,m=1,c=5/21")
+    assert a.exceptional_primes_divide() == 2 * 6 * 5 * 21 == a._exceptional
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "KummerCover(d=6, m=1, c=Fraction(5, 21))"
+    assert [f.name for f in dataclasses.fields(a) if f.compare or f.repr] == ["d", "m", "c"]
 
 
 def test_oracle_cost_does_not_grow_with_m_squared():

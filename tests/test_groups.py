@@ -1016,11 +1016,13 @@ def test_classify_agrees_on_corpus_to_order_128():
 
 def _subgroup(g, gens):
     """The subgroup of g that gens generate, re-indexed as a group of its
-    own: subgroup_closure's sorted elements start at the identity 0."""
+    own, with its elements in g: subgroup_closure's sorted elements start at
+    the identity 0, and element i of the subgroup is elems[i] of g."""
     elems = g.subgroup_closure(gens)
     index = np.empty(g.order, dtype=np.intp)
     index[elems] = np.arange(elems.size)
-    return G.FiniteGroup(index[g.table[np.ix_(elems, elems)]], label=f"<{gens}> in {g.label}")
+    h = G.FiniteGroup(index[g.table[np.ix_(elems, elems)]], label=f"<{gens}> in {g.label}")
+    return h, elems
 
 
 def test_classification_laws_hold_on_subgroups_and_products():
@@ -1029,25 +1031,32 @@ def test_classification_laws_hold_on_subgroups_and_products():
     hg_sqrt_minus1: subgroups of a Frobenius group lie in the kernel, in a
     complement or are Frobenius again (Huppert, Endliche Gruppen I, V.8), and
     subgroups of cyclic and generalized quaternion 2-groups are cyclic or
-    generalized quaternion.  And G x H has an obstruction when G, H != 1:
-    elements of prime orders p != q give one of order pq, and of the same
-    prime order q a C_q x C_q.  With generalized quaternion read as "a
-    non-cyclic 2-group with an element of order 4", D4 would be
-    hg_sqrt_minus1, and this sample fails at its subgroup C2 x C2."""
+    generalized quaternion.  Obstructions pass upward: a witness found in
+    H <= G, mapped to G's indices, verifies in G, since element orders,
+    commuting and cyclic subgroups are the same in H and in G.  And G x H
+    has an obstruction when G, H != 1: elements of prime orders p != q give
+    one of order pq, and of the same prime order q a C_q x C_q.  With
+    generalized quaternion read as "a non-cyclic 2-group with an element of
+    order 4", D4 would be hg_sqrt_minus1, and this sample fails at its
+    subgroup C2 x C2."""
     rng = random.Random(0)
-    subgroups = 0
+    subgroups = lifted = 0
     for g in _group_corpus(64):
         r = G.classify(g)
         if "x" in g.label:  # the corpus's direct products are labelled AxB
             assert G.detect_obstructions(g), g.label
         for _ in range(rng.randint(1, 2)):
             gens = rng.sample(range(1, g.order), min(g.order - 1, rng.randint(1, 2)))
-            h = _subgroup(g, gens)
+            h, elems = _subgroup(g, gens)
             rh = G.classify(h)
             assert rh.hg_real or not r.hg_real, h.label
             assert rh.hg_sqrt_minus1 or not r.hg_sqrt_minus1, h.label
+            for w in rh.obstructions:
+                up = G.ObstructionWitness(w.kind, tuple(int(elems[x]) for x in w.witness))
+                assert w.verify(h) and up.verify(g), (h.label, w)
+                lifted += 1
             subgroups += 1
-    assert subgroups > 600
+    assert subgroups > 600 and lifted > 700
 
 
 @pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)

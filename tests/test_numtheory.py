@@ -54,7 +54,11 @@ def test_parse_rational_forms():
     assert nt.parse_rational("1e3") == 1000
     assert nt.parse_rational("2.5e-3") == Fraction(1, 400)
     assert nt.parse_rational("-7/3") == Fraction(-7, 3)
-    assert nt.parse_rational(" 3E0_1 ") == 30
+    assert nt.parse_rational(" 3E01 ") == 30
+    assert nt.parse_rational("-.5") == Fraction(-1, 2)
+    assert nt.parse_rational("7.") == 7
+    assert nt.parse_rational("007/0010") == Fraction(7, 10)
+    assert nt.parse_rational("9" * 4300 + "/" + "7" * 4300) == Fraction(int("9" * 4300), int("7" * 4300))
     assert nt.parse_rational("1e4300") == 10**4300
     assert nt.parse_rational("1e-0004300") == Fraction(1, 10**4300)
     with pytest.raises(ValueError, match="zero denominator"):
@@ -65,6 +69,18 @@ def test_parse_rational_forms():
 def test_parse_rational_refuses_decimal_exponents_beyond_the_int_limit(text):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+        nt.parse_rational(text)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text", [
+    " 3E0_1 ", "1_0", "+2", "\u0663", "\u0663/\u0664", "1e+3", "+1/2", "3/-4", "1 / 2", "1/2e3",
+    "1.5/2", "--1", "-", "", ".", "e3", "1e", "0x10", "nan", "inf", "1,5", "9" * 4301,
+    "1/" + "9" * 4301, "0." + "1" * 4301, "1e" + "0" * 4301 + "1",
+], ids=lambda t: t if len(t) < 20 else f"{t[:4]}..{len(t)} chars")
+def test_parse_rational_refuses_everything_but_ascii_digits_by_name(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^rational .* must be a, a/b or a decimal in ASCII digits"):
         nt.parse_rational(text)
     assert time.perf_counter() - start < 0.1
 
@@ -270,6 +286,60 @@ def test_multiplicative_order_mod_matches_walk(n, a):
     if math.gcd(a, n) != 1:
         return
     assert nt.multiplicative_order_mod(a, n) == _order_by_walk(a, n)
+
+
+def _orders_by_powering(n):
+    """The units a mod n, in increasing order, and the least k >= 1 with
+    a^k = 1 mod n for each, by multiplying all of them by themselves at once
+    until each has met 1."""
+    units = np.array([a for a in range(n) if math.gcd(a, n) == 1], dtype=np.int64)
+    order = np.zeros(units.size, dtype=np.int64)
+    x, k = units % n, 1
+    while not order.all():
+        order[(x == 1 % n) & (order == 0)] = k
+        x, k = x * units % n, k + 1
+    return units.tolist(), order.tolist()
+
+
+def orders_agree_upto(bound: int) -> int:
+    """Exact multiplicative orders against brute-force powering, for every
+    unit a mod n and every n <= bound; returns the number of (a, n) pairs.
+
+    For each n the memo is cleared, then every unit is asked for cold, as a
+    and in increasing order, then warm, as a - n with n an np.int64 and in
+    decreasing order, so the last _ORDER_CACHE_SIZE units of the cold pass
+    hit first: the warm pass must hit min(phi(n), cache size) times and read
+    the same orders, which checks that the memo is keyed on (a mod n, int(n)).
+    Every non-unit raises on two calls in a row and adds nothing to the memo.
+
+    Tier-1 runs it to n <= 300 (27,398 pairs); the CI workflow also runs it
+    to n <= 2000 (1,216,588 pairs), as a step of its own."""
+    size = nt._order_mod.cache_info().maxsize
+    pairs = 0
+    for n in range(1, bound + 1):
+        units, want = _orders_by_powering(n)
+        nt._order_mod.cache_clear()
+        cold = [nt.multiplicative_order_mod(a, n) for a in units]
+        assert cold == want and nt._order_mod.cache_info().misses == len(units), n
+        warm = [nt.multiplicative_order_mod(a - n, np.int64(n)) for a in reversed(units)]
+        assert warm[::-1] == want, n
+        assert nt._order_mod.cache_info().hits == min(len(units), size), n
+        cached = nt._order_mod.cache_info().currsize
+        for a in sorted(set(range(n)) - set(units)):
+            for _ in range(2):
+                try:
+                    nt.multiplicative_order_mod(a, n)
+                except ValueError as e:
+                    assert str(e) == f"{a} is not a unit modulo {n}"
+                else:
+                    raise AssertionError(f"non-unit {a} mod {n} was given an order")
+        assert nt._order_mod.cache_info().currsize == cached, n
+        pairs += len(units)
+    return pairs
+
+
+def test_multiplicative_orders_agree_with_powering_cold_and_warm():
+    assert orders_agree_upto(300) == 27398
 
 
 def test_legendre_symbol_matches_square_search():
