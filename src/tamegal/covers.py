@@ -7,15 +7,18 @@ between the specialization point t0 and a branch point (an intersection
 multiplicity) the local invariants (e, f) of the specialized extension at p
 are predicted, and the finite-field oracle recomputes them from X^d - c*t0^m
 directly.  The predictor shares with the oracle only the numtheory primitives
-is_prime, p_split, factorize and multiplicative_order_mod.  Both sides ask
-multiplicative_order_mod for ord_d(p) with the same arguments, and its memo
-answers the second call from the first.  That couples them no further than
-the shared primitive already did: a memo hit returns what the call would
-compute, so each side still reads the same function at the same arguments.
+is_prime, p_split, factorize and multiplicative_order_mod.  Both sides test
+p with is_prime and ask multiplicative_order_mod for ord_d(p), each with the
+same arguments, and the two memos answer the oracle's calls from the
+predictor's.  That couples them no further than the shared primitives
+already did: a memo hit returns what the call would compute, so each side
+still reads the same function at the same arguments.
 
 A specialization point t0 is an int or a Fraction; its numerator and
 denominator are read directly and no Fraction is built per call.  Anything
-else (a bool, a float, a str) is refused with a ValueError naming t0.
+else (a bool, a float, a str) is refused with a ValueError naming t0.  The
+prime p is read by numtheory.as_int, so a numpy integer is taken as the int
+it holds and a float or str is refused with a ValueError naming p.
 
 Primes dividing 2, d, or the numerator or denominator of c are declared
 exceptional up front; the prediction laws hold away from finitely many primes
@@ -146,11 +149,12 @@ def predict_specialization(cover: KummerCover, t0, p: int) -> Prediction:
     where the residue degree transfers from the branch-point constants;
     otherwise only containment is known and the field is withheld.
 
-    t0 is an int or a Fraction; anything else is refused by name.
+    t0 is an int or a Fraction, and p is read by numtheory.as_int; anything
+    else is refused by name.
     """
     if type(t0) is not int and not isinstance(t0, Fraction):
         raise ValueError(f"t0 must be an int or a Fraction, got {t0!r}")
-    p = int(p)
+    p = numtheory.as_int(p, "p")
     if not numtheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if t0 == 0:
@@ -217,7 +221,9 @@ def verify_beckmann(cover: KummerCover, t0, p: int) -> SpecializationReport:
     """Fill a report: prediction on one side, the finite-field oracle applied
     to u = c*t0^m on the other.  The oracle's v = v_p(u) and w, the residue of
     u / p^v, come from p_split(c, p) and p_split(t0, p); t0^m is never formed.
-    t0 is an int or a Fraction, refused by name otherwise."""
+    t0 is an int or a Fraction and p is read once by numtheory.as_int, each
+    refused by name otherwise; both sides get p as a Python int."""
+    p = numtheory.as_int(p, "p")
     pred = predict_specialization(cover, t0, p)
     (vc, wc), (vt, wt) = numtheory.p_split(cover.c, p), numtheory.p_split(t0, p)
     inv = kummer_local_invariants(p, cover.d, vc + cover.m * vt, wc * pow(wt, cover.m, p) % p)

@@ -11,16 +11,24 @@ arithmetic.
 parse_int, parse_rational and parse_fields hold the rules for what a user
 types: one rule for integers and for rationals, ASCII digits after an
 optional "-", and one reader for key=value specs, used by every parser.
+as_int holds the rule for integer arguments of the library: operator.index,
+so a numpy integer reads as the int it holds and a float, str or Fraction
+is refused by name.
 
-Four caches, each a bounded functools.lru_cache and each keyed on exact
+Five caches, each a bounded functools.lru_cache and each keyed on exact
 integers, so a hit returns what a recomputation would:
 - the prime sieve, per limit (_SIEVE_CACHE_SIZE limits), shared by every
   caller, so the arrays ``primes_upto`` returns are read-only;
+- is_prime, per n (_PRIME_CACHE_SIZE values);
 - factorize, per n, behind factorize and prime_divisor_count;
 - prime_divisor_count, per n;
 - multiplicative_order_mod, per (a mod n, n) (_ORDER_CACHE_SIZE pairs).
-A refusal (a limit above the cap, a non-unit a) raises before or inside the
-cached call and is never cached.
+The is_prime cache is small on purpose: its callers ask about the same n
+within one computation (the sweep's predictor and oracle each test p), not
+across a whole range, and a memo over every prime below 10^6 would hold
+about 7 MiB.  A refusal (a limit above the cap, an n that is not an integer
+or is beyond psi_13, a non-unit a) raises before or inside the cached call
+and is never cached.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -37,6 +46,8 @@ import numpy as np
 SIEVE_CAP = 10**7
 # primes_upto keeps the sieves of this many limits
 _SIEVE_CACHE_SIZE = 4
+# is_prime keeps the answers for this many n
+_PRIME_CACHE_SIZE = 1 << 10
 # multiplicative_order_mod keeps the orders of this many (a mod n, n)
 _ORDER_CACHE_SIZE = 1 << 10
 # parse_rational refuses a decimal exponent above this in absolute value, the
@@ -101,13 +112,28 @@ def _sieve(limit: int) -> np.ndarray:
     return primes
 
 
+def as_int(x, what: str) -> int:
+    """x as a Python int, read by operator.index: an int, a bool or a numpy
+    integer.  A float, str, Fraction or anything else with no __index__
+    raises ValueError naming what, where int() would truncate or parse it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def is_prime(n: int) -> bool:
-    """Exact primality of n.
+    """Exact primality of the integer n, read by as_int.
 
     Decided for every n below psi_13 and every n with a prime factor
-    below 43; any other n raises ``ValueError``.
+    below 43; any other n raises ``ValueError``.  Memoized on n for the
+    last _PRIME_CACHE_SIZE values.
     """
-    n = int(n)
+    return _is_prime(as_int(n, "n"))
+
+
+@functools.lru_cache(maxsize=_PRIME_CACHE_SIZE)
+def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     if math.gcd(n, _MR_BASES_PRODUCT) != 1:
@@ -294,7 +320,7 @@ def _order_from_multiple(a: int, n: int, m: int) -> int:
     prime q while a^(m/q) = 1 (mod n)."""
     if pow(a, m, n) != 1 % n:
         raise ArithmeticError(f"{a}^{m} != 1 mod {n}: {m} is not a multiple of the order")
-    for q, k in factorize(m).items():
+    for q, k in _factorize_cached(m):
         for _ in range(k):
             if pow(a, m // q, n) != 1 % n:
                 break

@@ -519,3 +519,29 @@ def test_every_specialization_is_a_feasible_local_problem():
             reports += 1
     assert (reports, len(feasible)) == (15000, 1655)
     assert all(feasible.values())
+
+
+def test_one_op_tests_its_prime_once():
+    """The predictor and the oracle each ask is_prime(p); on a fresh p the
+    predictor's call misses and the oracle's is answered from it."""
+    cover = cv.KummerCover(9, 1, Fraction(1))
+    nt._is_prime.cache_clear()
+    cv.verify_beckmann(cover, Fraction(2, 5), 1000003)
+    info = nt._is_prime.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("p", [7.5, 7.0, "7", Fraction(7), None], ids=repr)
+def test_p_other_than_an_integer_is_refused_by_name(p):
+    cover = cv.KummerCover(9, 1, Fraction(1))
+    for entry in (cv.predict_specialization, cv.verify_beckmann):
+        with pytest.raises(ValueError, match=f"^p must be an integer, got {re.escape(repr(p))}$"):
+            entry(cover, 2, p)
+
+
+def test_numpy_p_is_read_as_the_int_it_holds():
+    cover = cv.KummerCover(9, 1, Fraction(1))
+    for p in (np.int64(7), np.int32(19)):
+        r = cv.verify_beckmann(cover, Fraction(2, 7), p)
+        assert type(r.p) is int and r.to_json_line() == cv.verify_beckmann(cover, Fraction(2, 7), int(p)).to_json_line()
+        assert cv.predict_specialization(cover, 2, p) == cv.predict_specialization(cover, 2, int(p))

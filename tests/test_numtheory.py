@@ -169,6 +169,75 @@ def test_is_prime_refuses_beyond_psi_13():
     assert nt.is_prime(PSI_13 - 1) is False
 
 
+def primes_agree_upto(bound: int) -> int:
+    """Exact primality against the sieve, for every 0 <= n <= bound; returns
+    the number of primes.
+
+    The memo is cleared, then every n is asked for cold, in increasing order,
+    each a miss; then warm, as np.int64(n) in decreasing order, so the last
+    _PRIME_CACHE_SIZE values of the cold pass hit first: the warm pass must
+    hit min(bound + 1, cache size) times and give the same answers, which
+    checks that the memo is keyed on the int that n reads as.
+
+    Tier-1 runs it to 10^4 (1,229 primes); the CI workflow also runs it to
+    10^6 (78,498 primes), as a step of its own."""
+    size = nt._is_prime.cache_info().maxsize
+    sieve = np.zeros(bound + 1, dtype=bool)
+    sieve[nt.primes_upto(bound)] = True
+    want = sieve.tolist()
+    nt._is_prime.cache_clear()
+    cold = [nt.is_prime(n) for n in range(bound + 1)]
+    assert cold == want and nt._is_prime.cache_info().misses == bound + 1
+    warm = [nt.is_prime(np.int64(n)) for n in range(bound, -1, -1)]
+    assert warm[::-1] == want
+    assert nt._is_prime.cache_info().hits == min(bound + 1, size)
+    return sum(want)
+
+
+def test_primality_agrees_with_the_sieve_cold_and_warm():
+    assert primes_agree_upto(10**4) == 1229
+
+
+# Carmichael numbers (OEIS A002997 and larger ones): Fermat pseudoprimes to
+# every coprime base, so only the strong test tells them from primes
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+              5394826801, 232250619601, 9746347772161]
+
+
+def test_pseudoprimes_read_alike_cold_and_warm():
+    composite = [*PSI, *CARMICHAEL, PSI_13 - 1, PSI_13 * 41]
+    prime = [2**61 - 1, 10**18 + 9, 10**24 + 7]
+    ns = composite + prime
+    nt._is_prime.cache_clear()
+    cold = [nt.is_prime(n) for n in ns]
+    assert cold == [False] * len(composite) + [True] * len(prime)
+    assert nt._is_prime.cache_info().misses == len(set(ns))  # PSI repeats some values
+    assert [nt.is_prime(n) for n in ns] == cold
+    assert nt._is_prime.cache_info().hits == 2 * len(ns) - len(set(ns))
+
+
+def test_refused_n_raises_on_every_call_and_is_never_cached():
+    nt._is_prime.cache_clear()
+    nt.is_prime(7)
+    before = nt._is_prime.cache_info()
+    for n in (PSI_13, 2**89 - 1):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"^primality of {n} is decided only below psi_13"):
+                nt.is_prime(n)
+    for x in (7.5, 7.0, "7", Fraction(15, 2), None):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(x))}$"):
+                nt.is_prime(x)
+    after = nt._is_prime.cache_info()
+    assert after.currsize == before.currsize == 1 and after.hits == before.hits
+    assert after.maxsize == nt._PRIME_CACHE_SIZE
+
+
+def test_numpy_integers_and_bool_keep_their_answers():
+    assert [nt.is_prime(x) for x in (np.int64(7), np.uint8(2), np.int32(9), True, False)] == [
+        True, True, False, False, False]
+
+
 def test_factorize_refuses_unfactorable_cofactor():
     with pytest.raises(ValueError, match=f"^{2**89 - 1} cannot be factored: its cofactor {2**89 - 1} "):
         nt.factorize(2**89 - 1)

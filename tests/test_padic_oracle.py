@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,3 +240,19 @@ def test_stratum_degree_law_spot():
     inv = po.kummer_local_invariants(11, 9, 1, 1)
     assert inv.f == nt.multiplicative_order_mod(11, 9) == 6
     assert inv.f != 9 // math.gcd(9, 10)
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("bad", [7.5, 7.0, "7", Fraction(15, 2)], ids=repr)
+def test_oracle_refuses_each_argument_that_is_not_an_integer_by_name(field, bad):
+    args = [7, 3, 1, 2]
+    args[field] = bad
+    with pytest.raises(ValueError, match=f"^{'pdvw'[field]} must be an integer, got {re.escape(repr(bad))}$"):
+        po.kummer_local_invariants(*args)
+
+
+def test_oracle_reads_numpy_integers_as_the_ints_they_hold():
+    args = (np.int64(7), np.int32(3), np.int16(-1), np.uint8(2))
+    assert po.kummer_local_invariants(*args) == po.kummer_local_invariants(7, 3, -1, 2)
+    with pytest.raises(ValueError, match=r"^p must be an integer, got 7\.5$"):
+        po.kummer_local_invariants(7.5, 9.5, 1.5, 2.5)  # int() read this as (7, 9, 1, 2)
