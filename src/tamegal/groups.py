@@ -882,6 +882,7 @@ def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
       holds three involutions, so with fewer G contains none;
     * Other in every remaining case.
     """
+    p = numtheory.as_int(p, "p")
     if not numtheory.is_prime(p):
         raise GroupError(f"{p} is not prime")
     if g.order % p:

@@ -78,9 +78,9 @@ class TamePair:
 @dataclass(frozen=True)
 class LocalExtensionSpec:
     """Prescribed local behavior at p: ramification index e, residue degree f,
-    optionally a specific decomposition group.  Checked when built: p, e and
-    f must not be floats or bools, p must be prime, e and f positive, and a
-    wild problem (p | e) raises."""
+    optionally a specific decomposition group.  Checked when built: p is read
+    by numtheory.as_int and must be a prime and not a bool, e and f must be
+    positive and not floats or bools, and a wild problem (p | e) raises."""
 
     p: int
     e: int
@@ -88,7 +88,7 @@ class LocalExtensionSpec:
     group_spec: FiniteGroup | None = None
 
     def __post_init__(self):
-        if isinstance(self.p, (bool, float)) or not numtheory.is_prime(self.p):
+        if isinstance(self.p, bool) or not numtheory.is_prime(numtheory.as_int(self.p, "p")):
             raise ValueError(f"{self.p!r} is not prime")
         if any(isinstance(x, (bool, float)) or x < 1 for x in (self.e, self.f)):
             raise ValueError(f"e and f must be positive integers, got e={self.e!r}, f={self.f!r}")
@@ -190,8 +190,9 @@ def enumerate_tame_pairs(g: FiniteGroup, q: int) -> list[TamePair]:
     """All generating pairs (sigma, tau) of G with sigma^-1 tau sigma = tau^q
     and the order of tau coprime to q, in lexicographic order of (sigma, tau).
     Nonempty exactly when G occurs as a tame local Galois group at residue
-    cardinality q, with inertia <tau>.
+    cardinality q, with inertia <tau>.  q is read by numtheory.as_int.
     """
+    q = numtheory.as_int(q, "q")
     if not numtheory.is_prime(q):
         raise ValueError(f"{q} is not prime")
     taus = [t for t, o in enumerate(g.orders.tolist()) if math.gcd(o, q) == 1]

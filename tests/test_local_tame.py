@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -168,6 +169,10 @@ def test_tame_pairs_q8():
     assert lt.enumerate_tame_pairs(q8, 5) == []
     assert lt.enumerate_tame_pairs(q8, 13) == []  # 13 = 1 mod 4
     assert lt.enumerate_tame_pairs(q8, 7) != []   # 7 = 3 mod 4
+    assert lt.enumerate_tame_pairs(q8, np.int64(7)) == lt.enumerate_tame_pairs(q8, 7)
+    for q in (7.0, Fraction(7), "7"):
+        with pytest.raises(ValueError, match=f"^q must be an integer, got {re.escape(repr(q))}$"):
+            lt.enumerate_tame_pairs(q8, q)
 
 
 def test_tame_pair_verify_refuses_indices_outside_the_group():
@@ -260,10 +265,17 @@ def test_grunwald_wild_rejected():
     for p, e, f in ((4, 3, 1), (1, 1, 1), (5, 0, 1), (5, 1, 0)):
         with pytest.raises(ValueError, match="not prime|must be positive"):
             lt.LocalExtensionSpec(p, e, f)
-    # a float or a bool is refused by name when built, not deep in grunwald_feasible
-    for p, e, f in ((7.9, 3, 1), (7.0, 3, 1), (True, 1, 1), (7, 3.0, 1), (7, True, 1), (7, 3, 1.5)):
-        with pytest.raises(ValueError, match=r"^\S+ is not prime|must be positive integers, got"):
+    # a float or a bool is refused by name when built, not deep in grunwald_feasible;
+    # p is read by numtheory.as_int, so anything but an integer is refused as p
+    for p in (7.9, 7.0, Fraction(7), "7"):
+        with pytest.raises(ValueError, match=f"^p must be an integer, got {re.escape(repr(p))}$"):
+            lt.LocalExtensionSpec(p, 3, 1)
+    with pytest.raises(ValueError, match="^True is not prime$"):
+        lt.LocalExtensionSpec(True, 1, 1)
+    for p, e, f in ((7, 3.0, 1), (7, True, 1), (7, 3, 1.5)):
+        with pytest.raises(ValueError, match="^e and f must be positive integers, got"):
             lt.LocalExtensionSpec(p, e, f)
+    assert lt.LocalExtensionSpec(np.int64(7), 3, 1).as_dict()["p"] == 7
 
 
 def test_local_spec_is_frozen():
