@@ -7,18 +7,12 @@ between the specialization point t0 and a branch point (an intersection
 multiplicity) the local invariants (e, f) of the specialized extension at p
 are predicted, and the finite-field oracle recomputes them from X^d - c*t0^m
 directly.  The predictor shares with the oracle only the numtheory primitives
-is_prime, p_split, factorize and multiplicative_order_mod.  Both sides test
-p with is_prime and ask multiplicative_order_mod for ord_d(p), each with the
-same arguments, and the two memos answer the oracle's calls from the
-predictor's.  That couples them no further than the shared primitives
-already did: a memo hit returns what the call would compute, so each side
-still reads the same function at the same arguments.
-
-A specialization point t0 is an int or a Fraction; its numerator and
-denominator are read directly and no Fraction is built per call.  Anything
-else (a bool, a float, a str) is refused with a ValueError naming t0.  The
-prime p is read by numtheory.as_int, so a numpy integer is taken as the int
-it holds and a float or str is refused with a ValueError naming p.
+as_int, as_prime, p_split, factorize and multiplicative_order_mod.  Both
+sides read p by as_prime and ask multiplicative_order_mod for ord_d(p), and
+the two memos answer the oracle's calls from the predictor's; a memo hit
+returns what the call would compute, so the sides stay as independent as
+the shared primitives let them be.  A specialization point t0 is read by
+as_rational, through its numerator and denominator: no Fraction per call.
 
 Primes dividing 2, d, or the numerator or denominator of c are declared
 exceptional up front; the prediction laws hold away from finitely many primes
@@ -51,7 +45,7 @@ INFINITY = "infinity"
 
 @dataclass(frozen=True)
 class KummerCover:
-    """Parameters of the cover defined by X^d - c*t^m."""
+    """Parameters of the cover defined by X^d - c*t^m, stored as read."""
 
     d: int
     m: int
@@ -60,19 +54,27 @@ class KummerCover:
     _exceptional: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        if isinstance(self.d, (bool, float)) or self.d < 2:
+        c = Fraction(numtheory.as_rational(self.c, "c"))
+        d = m = 0  # a d or m that as_int refuses stays 0, refused below by its range
+        try:
+            d = numtheory.as_int(self.d, "d")
+            m = numtheory.as_int(self.m, "m")
+        except ValueError:
+            pass
+        if isinstance(self.d, bool) or d < 2:
             raise ValueError(f"degree d must be an integer at least 2, got {self.d!r}")
-        if isinstance(self.m, (bool, float)) or self.m < 1:
+        if isinstance(self.m, bool) or m < 1:
             raise ValueError(f"exponent m must be a positive integer, got {self.m!r}")
-        if self.c == 0:
+        if c == 0:
             raise ValueError("constant c must be nonzero")
-        if max(abs(self.c.numerator), self.c.denominator) >= _C_BOUND:
+        if max(abs(c.numerator), c.denominator) >= _C_BOUND:
             raise ValueError(
                 f"constant c has more than {numtheory.DECIMAL_EXPONENT_CAP} digits in its "
                 "numerator or denominator, the digit limit of a Python int string"
             )
-        object.__setattr__(self, "_exceptional", 2 * self.d * self.c.numerator * self.c.denominator)
+        exceptional = 2 * d * c.numerator * c.denominator
+        for name, value in (("d", d), ("m", m), ("c", c), ("_exceptional", exceptional)):
+            object.__setattr__(self, name, value)
 
     @property
     def branch_inertia_order(self) -> int:
@@ -148,15 +150,8 @@ def predict_specialization(cover: KummerCover, t0, p: int) -> Prediction:
     v_p(t0) = 0 (k = 0).  predicted_f is emitted only when gcd(k, e_i) = 1,
     where the residue degree transfers from the branch-point constants;
     otherwise only containment is known and the field is withheld.
-
-    t0 is an int or a Fraction, and p is read by numtheory.as_int; anything
-    else is refused by name.
     """
-    if type(t0) is not int and not isinstance(t0, Fraction):
-        raise ValueError(f"t0 must be an int or a Fraction, got {t0!r}")
-    p = numtheory.as_int(p, "p")
-    if not numtheory.is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    t0, p = numtheory.as_rational(t0, "t0"), numtheory.as_prime(p, "p")
     if t0 == 0:
         raise ValueError("t0 = 0 is not specializable (branch point or degenerate fiber)")
     e_i = cover.branch_inertia_order
@@ -221,8 +216,7 @@ def verify_beckmann(cover: KummerCover, t0, p: int) -> SpecializationReport:
     """Fill a report: prediction on one side, the finite-field oracle applied
     to u = c*t0^m on the other.  The oracle's v = v_p(u) and w, the residue of
     u / p^v, come from p_split(c, p) and p_split(t0, p); t0^m is never formed.
-    t0 is an int or a Fraction and p is read once by numtheory.as_int, each
-    refused by name otherwise; both sides get p as a Python int."""
+    Both sides get p as the Python int numtheory.as_int reads."""
     p = numtheory.as_int(p, "p")
     pred = predict_specialization(cover, t0, p)
     (vc, wc), (vt, wt) = numtheory.p_split(cover.c, p), numtheory.p_split(t0, p)
@@ -261,11 +255,12 @@ def sample_points(cover: KummerCover, prime_bound: int, samples: int, seed: int)
     one reduced Fraction with num, den prime to p and -3 <= j <= 3, so both
     meeting and non-meeting specializations occur.  From 0 to SAMPLE_CAP
     samples, and the prime bound is at most numtheory.SIEVE_CAP."""
+    samples, seed = numtheory.as_int(samples, "samples"), numtheory.as_int(seed, "seed")
     if samples < 0:
         raise ValueError(f"sample count {samples} is negative")
     if samples > SAMPLE_CAP:
         raise ValueError(f"{samples} samples is above the sample cap {SAMPLE_CAP}")
-    primes = numtheory.primes_upto(prime_bound)
+    primes = numtheory.primes_upto(numtheory.as_int(prime_bound, "prime_bound"))
     primes = primes[_residues(cover.exceptional_primes_divide(), primes) != 0]
     if not primes.size:
         raise ValueError("no non-exceptional primes below the bound")

@@ -367,6 +367,7 @@ def _rotations(row: np.ndarray, step: int) -> np.ndarray:
 
 
 def cyclic(n: int) -> FiniteGroup:
+    n = numtheory.as_int(n, "n")
     if n < 1 or n > ORDER_CAP:
         raise GroupError(f"cyclic order {n} outside 1..{ORDER_CAP}")
     # row i is 0..n-1 rotated left by i; the constructor copies the view
@@ -380,10 +381,10 @@ def semidirect_cyclic(P: int, Q: int, k: int) -> FiniteGroup:
     Elements a^i b^j are indexed as i + P*j.  Requires gcd(k, P) = 1 and the
     multiplicative order of k mod P to divide Q.
     """
-    P, Q = int(P), int(Q)
+    P, Q, k = numtheory.as_int(P, "P"), numtheory.as_int(Q, "Q"), numtheory.as_int(k, "k")
     if P < 1 or Q < 1 or P * Q > ORDER_CAP:
         raise GroupError(f"orders ({P}, {Q}) invalid or product above {ORDER_CAP}")
-    k = int(k) % P
+    k %= P
     if math.gcd(k, P) != 1:
         raise GroupError(f"action invalid: gcd({k}, {P}) = {math.gcd(k, P)} != 1")
     if pow(k, Q, P) != 1 % P:
@@ -421,6 +422,7 @@ def semidirect_cyclic(P: int, Q: int, k: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (rotations r^i, reflections r^i s)."""
+    n = numtheory.as_int(n, "n")
     if n < 1 or 2 * n > ORDER_CAP:
         raise GroupError(f"dihedral parameter {n} outside 1..{ORDER_CAP // 2}")
     g = semidirect_cyclic(n, 2, n - 1)
@@ -436,7 +438,7 @@ def generalized_quaternion(order: int) -> FiniteGroup:
     dihedral table's quadrant of products x^i y * x^k y is shifted by N/4
     mod N/2.
     """
-    N = int(order)
+    N = numtheory.as_int(order, "order")
     if N < 8 or N & (N - 1) or N > ORDER_CAP:
         raise GroupError(
             f"generalized quaternion order must be a 2-power in 8..{ORDER_CAP}, got {N}"
@@ -484,6 +486,7 @@ def _perm_closure(gens, label: str = "G") -> FiniteGroup:
 
 def symmetric(m: int) -> FiniteGroup:
     """S_m from (0 1) and (0 1 ... m-1); S_1 from its one element."""
+    m = numtheory.as_int(m, "m")
     if not 1 <= m <= ORDER_CAP or math.factorial(m) > ORDER_CAP:  # m <= m!: a small m!
         raise GroupError(f"symmetric degree {m} out of range: needs 1 <= m, m! <= {ORDER_CAP}")
     cycle = tuple(range(1, m)) + (0,)
@@ -493,6 +496,7 @@ def symmetric(m: int) -> FiniteGroup:
 
 def alternating(m: int) -> FiniteGroup:
     """A_m from the 3-cycles (0 1 i), 2 <= i < m."""
+    m = numtheory.as_int(m, "m")
     if not 3 <= m <= ORDER_CAP or math.factorial(m) // 2 > ORDER_CAP:  # as in symmetric
         raise GroupError(f"alternating degree {m} out of range: needs 3 <= m, m!/2 <= {ORDER_CAP}")
     gens = [[{0: 1, 1: i, i: 0}.get(x, x) for x in range(m)] for i in range(2, m)]
@@ -882,9 +886,7 @@ def sylow_shape(g: FiniteGroup, p: int) -> SylowShape:
       holds three involutions, so with fewer G contains none;
     * Other in every remaining case.
     """
-    p = numtheory.as_int(p, "p")
-    if not numtheory.is_prime(p):
-        raise GroupError(f"{p} is not prime")
+    p = numtheory.as_prime(p, "p")
     if g.order % p:
         raise GroupError(f"{p} does not divide the group order {g.order}")
     target = p ** numtheory.factorize(g.order)[p]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -78,9 +77,9 @@ class TamePair:
 @dataclass(frozen=True)
 class LocalExtensionSpec:
     """Prescribed local behavior at p: ramification index e, residue degree f,
-    optionally a specific decomposition group.  Checked when built: p is read
-    by numtheory.as_int and must be a prime and not a bool, e and f must be
-    positive and not floats or bools, and a wild problem (p | e) raises."""
+    optionally a specific decomposition group.  Checked when built, a bool e
+    or f refused, and a wild problem (p | e) raises; the values read are
+    stored."""
 
     p: int
     e: int
@@ -88,14 +87,17 @@ class LocalExtensionSpec:
     group_spec: FiniteGroup | None = None
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not numtheory.is_prime(numtheory.as_int(self.p, "p")):
-            raise ValueError(f"{self.p!r} is not prime")
-        if any(isinstance(x, (bool, float)) or x < 1 for x in (self.e, self.f)):
+        p = numtheory.as_prime(self.p, "p")
+        try:
+            e, f = numtheory.as_int(self.e, "e"), numtheory.as_int(self.f, "f")
+        except ValueError:
+            e = f = 0  # refused below, by the message that names both
+        if isinstance(self.e, bool) or isinstance(self.f, bool) or min(e, f) < 1:
             raise ValueError(f"e and f must be positive integers, got e={self.e!r}, f={self.f!r}")
-        if self.e % self.p == 0:
-            raise WildRamificationError(
-                f"wild problem rejected: p={self.p} divides e={self.e}"
-            )
+        if e % p == 0:
+            raise WildRamificationError(f"wild problem rejected: p={p} divides e={e}")
+        for name, value in (("p", p), ("e", e), ("f", f)):
+            object.__setattr__(self, name, value)
 
     def as_dict(self):
         return {
@@ -150,9 +152,7 @@ def load_local_spec_batch(path: str) -> list[LocalExtensionSpec]:
 def cyclic_tame_exists(q: int, d: int, e: int) -> bool:
     """Whether the q-adic completion has a degree-d cyclic extension with
     ramification index exactly e.  True iff e divides q - 1."""
-    q, d, e = int(q), int(d), int(e)
-    if not numtheory.is_prime(q):
-        raise ValueError(f"{q} is not prime")
+    q, d, e = numtheory.as_prime(q, "q"), numtheory.as_int(d, "d"), numtheory.as_int(e, "e")
     if d < 1:
         raise ValueError(f"degree d={d} must be at least 1")
     if e < 1 or d % e:
@@ -190,11 +190,9 @@ def enumerate_tame_pairs(g: FiniteGroup, q: int) -> list[TamePair]:
     """All generating pairs (sigma, tau) of G with sigma^-1 tau sigma = tau^q
     and the order of tau coprime to q, in lexicographic order of (sigma, tau).
     Nonempty exactly when G occurs as a tame local Galois group at residue
-    cardinality q, with inertia <tau>.  q is read by numtheory.as_int.
+    cardinality q, with inertia <tau>.
     """
-    q = numtheory.as_int(q, "q")
-    if not numtheory.is_prime(q):
-        raise ValueError(f"{q} is not prime")
+    q = numtheory.as_prime(q, "q")
     taus = [t for t, o in enumerate(g.orders.tolist()) if math.gcd(o, q) == 1]
     pairs = sorted(
         (sigma, tau)
@@ -274,15 +272,10 @@ def c4_embeddable_quadratic(a) -> bool:
     Square inputs are degenerate (the extension is trivial) and return True;
     callers that care can test is_rational_square separately.  a = 0 raises.
     """
-    a = Fraction(a)
+    a = numtheory.as_rational(a, "a")
     if a == 0:
         raise ValueError("a must be nonzero")
-    if is_rational_square(a):
-        return True
-    if a < 0:
-        return False
-    for m in (a.numerator, a.denominator):
-        for ell, exp in numtheory.factorize(m).items():
-            if ell % 4 == 3 and exp % 2:
-                return False
-    return True
+    exponents = (x for m in (a.numerator, a.denominator) for x in numtheory.factorize(m).items())
+    return is_rational_square(a) or a > 0 and all(
+        ell % 4 != 3 or exp % 2 == 0 for ell, exp in exponents
+    )

@@ -11,20 +11,20 @@ arithmetic.
 parse_int, parse_rational and parse_fields hold the rules for what a user
 types: one rule for integers and for rationals, ASCII digits after an
 optional "-", and one reader for key=value specs, used by every parser.
-as_int holds the rule for integer arguments of the library: operator.index,
-so a numpy integer reads as the int it holds and a float, str or Fraction
-is refused by name.
+as_int, as_prime and as_rational hold the rules for the number arguments of
+the library: every public entry point reads its integers, primes and
+rationals through them, and each refusal is a ValueError naming the argument.
 
 Five caches, each a bounded functools.lru_cache and each keyed on exact
 integers, so a hit returns what a recomputation would:
 - the prime sieve, per limit (_SIEVE_CACHE_SIZE limits), shared by every
   caller, so the arrays ``primes_upto`` returns are read-only;
-- is_prime, per n (_PRIME_CACHE_SIZE values);
+- primality, per n (_PRIME_CACHE_SIZE values), behind is_prime and as_prime;
 - factorize, per n, behind factorize and prime_divisor_count;
-- prime_divisor_count, per n;
+- prime_divisor_count, per n and its type;
 - multiplicative_order_mod, per (a mod n, n) (_ORDER_CACHE_SIZE pairs).
-The is_prime cache is small on purpose: its callers ask about the same n
-within one computation (the sweep's predictor and oracle each test p), not
+The primality cache is small on purpose: its callers ask about the same n
+within one computation (the sweep's predictor and oracle each read p), not
 across a whole range, and a memo over every prime below 10^6 would hold
 about 7 MiB.  A refusal (a limit above the cap, an n that is not an integer
 or is beyond psi_13, a non-unit a) raises before or inside the cached call
@@ -92,6 +92,7 @@ def primes_upto(limit: int) -> np.ndarray:
     by every caller; the last _SIEVE_CACHE_SIZE limits are kept.  A limit
     above the cap is refused before the cache, on every call.
     """
+    limit = as_int(limit, "limit")
     if limit > SIEVE_CAP:
         raise ValueError(f"prime bound {limit} is above the sieve cap {SIEVE_CAP}")
     return _sieve(limit)
@@ -120,6 +121,21 @@ def as_int(x, what: str) -> int:
         return operator.index(x)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
+def as_prime(x, what: str) -> int:
+    """x read by as_int, refused with a ValueError unless is_prime holds."""
+    if not _is_prime(p := as_int(x, what)):
+        raise ValueError(f"{x} is not prime")
+    return p
+
+
+def as_rational(x, what: str) -> int | Fraction:
+    """x as it is, an int (of type int itself: not a bool or a numpy integer)
+    or a Fraction; anything else, a float or str too, raises ValueError."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -204,16 +220,16 @@ def factorize(n: int) -> dict[int, int]:
     Memoized underneath; group-theoretic callers hit the same small orders
     constantly.
     """
-    n = int(n)
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     return dict(_factorize_cached(n))
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.lru_cache(maxsize=1 << 16, typed=True)
 def prime_divisor_count(n: int) -> int:
-    """Number of distinct prime divisors of n >= 1."""
-    return len(_factorize_cached(int(n)))
+    """Number of distinct prime divisors of n >= 1 (typed: 7.0 never hits 7)."""
+    return len(factorize(n))
 
 
 def divisors(n: int) -> list[int]:
@@ -224,7 +240,7 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime_power(n: int) -> bool:
-    return n >= 2 and len(factorize(n)) == 1
+    return (n := as_int(n, "n")) >= 2 and len(factorize(n)) == 1
 
 
 def parse_rational(text: str) -> Fraction:
@@ -300,6 +316,7 @@ def p_split(x: int | Fraction, p: int) -> tuple[int, int]:
     One pass strips p from the numerator and from the denominator.  A p below
     2 is refused by name: at p = 1 or -1 the strip would never end, and at
     p = 0 it would divide by zero."""
+    p = as_int(p, "p")
     if p < 2:
         raise ValueError(f"p-adic split needs p >= 2, got p = {p}")
     num, den = x.numerator, x.denominator
@@ -332,8 +349,8 @@ def multiplicative_order_mod(a: int, n: int) -> int:
     """Order of a in (Z/n)^*, divided down from phi(n).  Memoized on
     (a mod n, n) for the last _ORDER_CACHE_SIZE pairs; a non-unit a raises
     ValueError on every call."""
-    n = int(n)
-    return _order_mod(int(a) % n, n)
+    n = as_int(n, "n")
+    return _order_mod(as_int(a, "a") % n, n)
 
 
 @functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
@@ -346,27 +363,22 @@ def _order_mod(a: int, n: int) -> int:
 
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p."""
-    a %= p
-    if a == 0:
+    p = as_int(p, "p")
+    if (a := as_int(a, "a") % p) == 0:
         return 0
     s = pow(a, (p - 1) // 2, p)
     return -1 if s == p - 1 else 1
 
 
 def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+    return (n := as_int(n, "n")) >= 0 and math.isqrt(n) ** 2 == n
 
 
-def is_rational_square(x: Fraction) -> bool:
-    x = Fraction(x)
+def is_rational_square(x: int | Fraction) -> bool:
+    x = as_rational(x, "x")
     return x >= 0 and is_perfect_square(x.numerator) and is_perfect_square(x.denominator)
 
 
 def is_squarefree(n: int) -> bool:
-    n = abs(int(n))
-    if n == 0:
-        return False
-    return all(a == 1 for a in factorize(n).values())
+    n = abs(as_int(n, "n"))
+    return n != 0 and all(a == 1 for a in factorize(n).values())

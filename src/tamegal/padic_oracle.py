@@ -57,13 +57,10 @@ def kummer_local_invariants(p: int, d: int, v: int, w: int) -> KummerLocalInvari
 
     p is the residue characteristic, d the Kummer degree (coprime to p), v
     the valuation of u and w an int, the residue of its unit part, taken
-    mod p.  Each is read by numtheory.as_int, so a float, str or Fraction is
-    refused with a ValueError naming it.
+    mod p.
     """
-    p, d = numtheory.as_int(p, "p"), numtheory.as_int(d, "d")
+    p, d = numtheory.as_prime(p, "p"), numtheory.as_int(d, "d")
     v, w = numtheory.as_int(v, "v"), numtheory.as_int(w, "w")
-    if not numtheory.is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if d < 1:
         raise ValueError("degree must be positive")
     if d % p == 0:

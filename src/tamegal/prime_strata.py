@@ -52,9 +52,9 @@ class PrimeStratum:
 
 def stratum_of(p: int, d: int) -> int:
     """The divisor e of d with mu_d meeting the p-adics in exactly mu_e."""
-    p, d = int(p), int(d)
-    if p == 2 or not numtheory.is_prime(p):
-        raise ValueError(f"{p} must be an odd prime")
+    p, d = numtheory.as_prime(p, "p"), numtheory.as_int(d, "d")
+    if p == 2:
+        raise ValueError("p must be an odd prime, got 2")
     if d < 1 or d % p == 0:
         raise ValueError(f"p={p} must not divide d={d}")
     return math.gcd(d, p - 1)
@@ -68,6 +68,7 @@ def predicted_stratum_density(d: int, e: int) -> Fraction:
     j = v_p(e): units a mod p^k with min(v_p(a-1), k) = j number
     p^(k-1)(p-2) for j = 0, p^(k-j) - p^(k-j-1) for 0 < j < k and 1 for j = k.
     """
+    d, e = numtheory.as_int(d, "d"), numtheory.as_int(e, "e")
     if d < 1:
         raise ValueError(f"degree d={d} must be at least 1")
     if e < 1 or d % e:
@@ -89,7 +90,8 @@ def enumerate_stratum(d: int, e: int, bound: int) -> PrimeStratum:
     """All odd primes p <= bound, p not dividing d, with gcd(d, p-1) = e,
     found by congruences on the cached sieve: e | p-1, and ell*e does not
     divide p-1 for each prime ell | d/e (see the module docstring)."""
-    d, e, bound = int(d), int(e), int(bound)
+    d, e = numtheory.as_int(d, "d"), numtheory.as_int(e, "e")
+    bound = numtheory.as_int(bound, "bound")
     if d >= 2**63:
         raise ValueError(f"d={d} must be below 2^63, the range of the sieve's int64 primes")
     predicted = predicted_stratum_density(d, e)  # refuses d < 1 and e not dividing d
@@ -119,13 +121,12 @@ def lemma32_prime_set(q: int, r: int, bound: int) -> list[int]:
     auxiliary fields attached to a specific cover are out of scope.  An empty
     result at the given bound is an error, never silently returned.
     """
-    q, r, bound = int(q), int(r), int(bound)
+    q, r = numtheory.as_prime(q, "q"), numtheory.as_prime(r, "r")
+    bound = numtheory.as_int(bound, "bound")
     if q == 2:
         raise ValueError("q = 2 rejected: the non-split condition is vacuous for odd primes")
     if max(q, r) >= 2**63:
         raise ValueError("q and r must be below 2^63, the range of the sieve's int64 primes")
-    if not numtheory.is_prime(q) or not numtheory.is_prime(r):
-        raise ValueError("q and r must be primes")
     if q == r:
         raise ValueError("q and r must be distinct")
     primes = numtheory.primes_upto(bound)
@@ -146,9 +147,9 @@ def biquadratic_split(a: int, b: int, p: int) -> set[int]:
     all non-squares.  Always nonempty: the three Legendre symbols multiply
     to (ab)^2 = +1, so they cannot all be -1.
     """
-    a, b, p = int(a), int(b), int(p)
-    if p == 2 or not numtheory.is_prime(p):
-        raise ValueError(f"{p} must be an odd prime")
+    a, b, p = numtheory.as_int(a, "a"), numtheory.as_int(b, "b"), numtheory.as_prime(p, "p")
+    if p == 2:
+        raise ValueError("p must be an odd prime, got 2")
     if a == 0 or b == 0 or (2 * a * b) % p == 0:
         raise ValueError("p must not divide 2ab (unramified case only)")
     if not numtheory.is_squarefree(a) or not numtheory.is_squarefree(b):

@@ -388,7 +388,7 @@ def test_the_sweep_op_builds_no_fraction(monkeypatch):
     assert len(lines) == 600 and all('"agree": true' in line for line in lines)
 
 
-@pytest.mark.parametrize("t0", ["7", 7.0, True, False, None, np.int64(7), "0", 0.0])
+@pytest.mark.parametrize("t0", ["7", 7.0, True, False, None, np.int64(7), "0", 0.0, "1/3"])
 def test_t0_other_than_int_or_fraction_is_refused_by_name(t0):
     cover = cv.KummerCover(9, 1, Fraction(1))
     for entry in (cv.predict_specialization, cv.verify_beckmann):

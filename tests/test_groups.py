@@ -1027,12 +1027,23 @@ def _subgroup(g, gens):
     return h, elems
 
 
-def laws_hold_on_corpus(n_max, draws, seed):
+def perm_groups(count, seed):
+    """count groups outside the C/D/SD/X families, seeded by seed: each is
+    generated by 1-2 random permutations of one degree from 4 to 6, through
+    groups._perm_closure, so its order is anything from 1 to 720."""
+    rng = random.Random(seed)
+    for i in range(count):
+        degree = rng.randint(4, 6)
+        gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 2))]
+        yield G._perm_closure(gens, label=f"perm group {i} of seed {seed}")
+
+
+def laws_hold_on_corpus(groups, draws, seed):
     """Laws that any correct classify obeys, with no second procedure, on
-    every criterion-1 corpus group up to order n_max, each with a number of
-    random subgroups drawn from the inclusive range draws, seeded by seed;
-    returns how many subgroups were checked and how many obstruction
-    witnesses were lifted from a subgroup to its group.
+    each of groups (the criterion-1 corpus, or perm_groups), each with a
+    number of random subgroups drawn from the inclusive range draws, seeded
+    by seed; returns how many subgroups were checked and how many
+    obstruction witnesses were lifted from a subgroup to its group.
 
     A subgroup H != 1 of an hg_real group is hg_real, and likewise for
     hg_sqrt_minus1: subgroups of a Frobenius group lie in the kernel, in a
@@ -1047,13 +1058,14 @@ def laws_hold_on_corpus(n_max, draws, seed):
     order 4", D4 would be hg_sqrt_minus1, and the tier-1 sample fails at its
     subgroup C2 x C2.
 
-    Tier-1 runs it to order 64 with 1-2 subgroups per group; the CI
-    workflow also runs it to order 256 with 3 per group, as a step of its
-    own.  Both pin the two counts exactly, so a classify that finds fewer
-    obstructions in the subgroups fails even where every law still holds."""
+    Tier-1 runs the corpus to order 64 with 1-2 subgroups per group, and 40
+    perm_groups with 1-2 each; the CI workflow also runs the corpus to order
+    256 and 2000 perm_groups, 3 subgroups per group, each as a step of its
+    own.  Each run pins the two counts exactly, so a classify that finds
+    fewer obstructions in the subgroups fails even where every law holds."""
     rng = random.Random(seed)
     subgroups = lifted = 0
-    for g in _group_corpus(n_max):
+    for g in groups:
         r = G.classify(g)
         if "x" in g.label:  # the corpus's direct products are labelled AxB
             assert G.detect_obstructions(g), g.label
@@ -1072,7 +1084,11 @@ def laws_hold_on_corpus(n_max, draws, seed):
 
 
 def test_classification_laws_hold_on_subgroups_and_products():
-    assert laws_hold_on_corpus(64, (1, 2), 0) == (751, 757)
+    assert laws_hold_on_corpus(_group_corpus(64), (1, 2), 0) == (751, 757)
+
+
+def test_classification_laws_hold_on_permutation_groups():
+    assert laws_hold_on_corpus(perm_groups(40, 0), (1, 2), 0) == (56, 30)
 
 
 @pytest.mark.parametrize("g", KERNEL_GROUPS, ids=lambda g: g.label)
